@@ -7,7 +7,9 @@ restriction lies in the chosen open must themselves be chosen.  This is the
 pullback reading of monotonicity; plain containment is meaningless across
 different spectra.
 
-Meets and joins are pointwise; the action of a morphism pushes opens forward
+An element is stored as one int with a bit per (member, point), so meets
+and joins are bitwise and admissibility is one AND per chosen point against
+a precomputed up-set.  The action of a morphism pushes opens forward
 through the point maps of all members landing below a target member.  It
 always preserves the top and all joins; it preserves binary meets when the
 morphism reflects commeasurability.
@@ -17,13 +19,23 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, PbalgError, SearchCutoffError, StructuralError
 from .core import PartialBooleanAlgebra, PbaMorphism, atoms_of_subalgebra
 from .poset import SubalgebraPoset, boolean_subalgebras
 
-FrameElement = tuple[frozenset[int], ...]
+# A frame element is one int: a bit per (member, spectrum point), each
+# member's points in a contiguous field.
+FrameElement = int
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class BohrFrame:
@@ -50,36 +62,51 @@ class BohrFrame:
                         raise StructuralError("point restriction not single-valued")
                     rho[q] = above[0]
                 self.restrictions[(i, j)] = rho
+        self.bit: dict[tuple[int, int], int] = {}
+        for i, pts in enumerate(self.spectra):
+            for p in pts:
+                self.bit[i, p] = len(self.bit)
+        # up[b]: bit b and every point of a larger member restricting to it;
+        # transitively closed already, because restrictions compose
+        self.up = [1 << b for b in range(len(self.bit))]
+        for (i, j), rho in self.restrictions.items():
+            for q, p in rho.items():
+                self.up[self.bit[i, p]] |= 1 << self.bit[j, q]
 
     # -- element structure ---------------------------------------------------
 
     def check_shape(self, fam: FrameElement) -> None:
-        if len(fam) != len(self.poset.members):
-            raise DomainError("family is not indexed by the member poset")
-        for i, opens in enumerate(fam):
-            if not opens <= set(self.spectra[i]):
-                raise DomainError(f"opens at member {i} are not spectrum points")
+        if not isinstance(fam, int) or not 0 <= fam <= self.top():
+            raise DomainError("family is not a mask over the member spectra")
 
     def admissible(self, fam: FrameElement) -> bool:
-        """Pullback admissibility along every comparable member pair."""
+        """Pullback admissibility: every chosen point carries its up-set."""
         self.check_shape(fam)
-        for (i, j), rho in self.restrictions.items():
-            for q in self.spectra[j]:
-                if rho[q] in fam[i] and q not in fam[j]:
-                    return False
-        return True
+        return all(self.up[b] & ~fam == 0 for b in _bits(fam))
+
+    def mask(self, member_index: int, points: Iterable[int]) -> FrameElement:
+        """The family choosing the given points at one member, nothing else."""
+        fam = 0
+        for p in points:
+            fam |= 1 << self.bit[member_index, p]
+        return fam
+
+    def opens(self, fam: FrameElement, member_index: int) -> frozenset[int]:
+        """The points a family chooses at one member."""
+        return frozenset(p for p in self.spectra[member_index]
+                         if fam >> self.bit[member_index, p] & 1)
 
     def bottom(self) -> FrameElement:
-        return tuple(frozenset() for _ in self.spectra)
+        return 0
 
     def top(self) -> FrameElement:
-        return tuple(frozenset(pts) for pts in self.spectra)
+        return (1 << len(self.bit)) - 1
 
     def meet(self, F: FrameElement, G: FrameElement) -> FrameElement:
-        return tuple(f & g for f, g in zip(F, G))
+        return F & G
 
     def join(self, F: FrameElement, G: FrameElement) -> FrameElement:
-        return tuple(f | g for f, g in zip(F, G))
+        return F | G
 
     def join_all(self, fams: Sequence[FrameElement]) -> FrameElement:
         acc = self.bottom()
@@ -89,42 +116,25 @@ class BohrFrame:
 
     def principal(self, member_index: int, points: frozenset[int]) -> FrameElement:
         """Least admissible family whose open at the given member contains
-        the given points (upward closure along restrictions)."""
-        fam = [set() for _ in self.spectra]
-        fam[member_index] = set(points)
-        changed = True
-        while changed:
-            changed = False
-            for (i, j), rho in self.restrictions.items():
-                for q in self.spectra[j]:
-                    if rho[q] in fam[i] and q not in fam[j]:
-                        fam[j].add(q)
-                        changed = True
-        return tuple(frozenset(s) for s in fam)
+        the given points: the join of their up-sets."""
+        fam = self.bottom()
+        for p in points:
+            fam |= self.up[self.bit[member_index, p]]
+        return fam
 
     # -- enumeration ----------------------------------------------------------
 
     def size_bound(self) -> int:
-        b = 1
-        for pts in self.spectra:
-            b <<= len(pts)
-        return b
+        return 1 << len(self.bit)
 
     def elements(self, max_frame: int = 65536) -> tuple[FrameElement, ...]:
-        """All admissible families by brute force over the product of open
-        sets, canonically ordered."""
+        """All admissible families by brute force over every mask, in
+        ascending order."""
         if self.size_bound() > max_frame:
             raise SearchCutoffError(
                 f"frame enumeration bound {self.size_bound()} exceeds {max_frame}",
                 limit=max_frame)
-        per_member = []
-        for pts in self.spectra:
-            subsets = [frozenset(c) for r in range(len(pts) + 1)
-                       for c in itertools.combinations(pts, r)]
-            per_member.append(subsets)
-        out = [fam for fam in itertools.product(*per_member)
-               if self.admissible(fam)]
-        return tuple(sorted(out, key=self._sort_key))
+        return tuple(F for F in range(self.size_bound()) if self.admissible(F))
 
     def elements_recursive(self, max_frame: int = 65536) -> tuple[FrameElement, ...]:
         """Independent enumeration: assign opens member by member in size
@@ -133,33 +143,28 @@ class BohrFrame:
                        key=lambda i: (len(self.poset.members[i]),
                                       tuple(sorted(self.poset.members[i]))))
         out: list[FrameElement] = []
-        fam: list[frozenset[int]] = [frozenset()] * len(order)
 
-        def assign(k: int):
+        def assign(k: int, fam: FrameElement):
             if len(out) > max_frame:
                 raise SearchCutoffError("frame enumeration exceeded the cutoff",
                                         limit=max_frame)
             if k == len(order):
-                out.append(tuple(fam))
+                out.append(fam)
                 return
             j = order[k]
             required = set()
             for i in order[:k]:
                 if (i, j) in self.restrictions:
+                    chosen = self.opens(fam, i)
                     rho = self.restrictions[(i, j)]
-                    required |= {q for q in self.spectra[j] if rho[q] in fam[i]}
+                    required |= {q for q in self.spectra[j] if rho[q] in chosen}
             free = [q for q in self.spectra[j] if q not in required]
             for r in range(len(free) + 1):
                 for extra in itertools.combinations(free, r):
-                    fam[j] = frozenset(required) | frozenset(extra)
-                    assign(k + 1)
-            fam[j] = frozenset()
+                    assign(k + 1, fam | self.mask(j, required.union(extra)))
 
-        assign(0)
-        return tuple(sorted(out, key=self._sort_key))
-
-    def _sort_key(self, fam: FrameElement):
-        return tuple(tuple(sorted(s)) for s in fam)
+        assign(0, self.bottom())
+        return tuple(sorted(out))
 
     def check_frame_laws(self, elements: Sequence[FrameElement]) -> None:
         """Bounded-lattice and distributivity laws of the finite frame: meets
@@ -167,8 +172,10 @@ class BohrFrame:
         elems = list(elements)
         top, bot = self.top(), self.bottom()
         for F in elems:
-            assert self.meet(F, top) == F and self.join(F, bot) == F
-            assert self.admissible(F)
+            if not self.admissible(F):
+                raise PbalgError("enumerated family is not admissible")
+            if self.meet(F, top) != F or self.join(F, bot) != F:
+                raise PbalgError("top and bottom are not lattice units")
         for F, G in itertools.combinations(elems, 2):
             if not (self.admissible(self.meet(F, G))
                     and self.admissible(self.join(F, G))):
@@ -217,34 +224,27 @@ class FrameMap:
         self.src = src or BohrFrame(f.dom)
         self.dst = dst or BohrFrame(f.cod)
         B = f.cod
-        # qualifying pairs: source member i with image inside target member j,
-        # with the point map Spec(D_j) -> Spec(C_i)
-        self.point_maps: dict[tuple[int, int], dict[int, int]] = {}
+        # push[b]: the target points reached from source bit b through the
+        # point maps Spec(D_j) -> Spec(C_i) of every source member i whose
+        # image lies inside target member j
+        self.push = [0] * len(self.src.bit)
         for i, C in enumerate(self.src.poset.members):
             img = member_image(f, C)
             for j, D in enumerate(self.dst.poset.members):
                 if not img <= D:
                     continue
-                ptmap = {}
                 for q in self.dst.spectra[j]:
                     cs = [c for c in self.src.spectra[i]
                           if B.meet[q][f.map[c]] == q]
                     if len(cs) != 1:
                         raise StructuralError("induced point map not single-valued")
-                    ptmap[q] = cs[0]
-                self.point_maps[(i, j)] = ptmap
+                    self.push[self.src.bit[i, cs[0]]] |= 1 << self.dst.bit[j, q]
 
     def __call__(self, F: FrameElement) -> FrameElement:
         self.src.check_shape(F)
-        out = []
-        for j in range(len(self.dst.poset.members)):
-            opens: set[int] = set()
-            for (i, jj), ptmap in self.point_maps.items():
-                if jj != j:
-                    continue
-                opens |= {q for q, c in ptmap.items() if c in F[i]}
-            out.append(frozenset(opens))
-        fam = tuple(out)
+        fam = self.dst.bottom()
+        for b in _bits(F):
+            fam |= self.push[b]
         if not self.dst.admissible(fam):
             raise StructuralError("morphism action produced an inadmissible family")
         return fam
@@ -256,32 +256,25 @@ class FrameMap:
         elems = list(elements) if elements is not None else \
             list(self.src.elements(max_frame=max_frame))
         top_ok = self(self.src.top()) == self.dst.top()
-        join_ok, join_witness = True, None
-        meet_ok, meet_witness = True, None
         images = {F: self(F) for F in elems}
-        for F, G in itertools.combinations_with_replacement(elems, 2):
-            j_img = images.get(self.src.join(F, G))
-            if j_img is None:
-                j_img = self(self.src.join(F, G))
-            expected = self.dst.join(images[F], images[G])
-            if j_img != expected:
-                join_ok = False
-                join_witness = (F, G, next(
-                    j for j in range(len(j_img)) if j_img[j] != expected[j]))
-                break
-        for F, G in itertools.combinations_with_replacement(elems, 2):
-            m_img = images.get(self.src.meet(F, G))
-            if m_img is None:
-                m_img = self(self.src.meet(F, G))
-            expected = self.dst.meet(images[F], images[G])
-            if m_img != expected:
-                meet_ok = False
-                meet_witness = (F, G, next(
-                    j for j in range(len(m_img)) if m_img[j] != expected[j]))
-                break
+        witnesses = []
+        for src_op, dst_op in ((self.src.join, self.dst.join),
+                               (self.src.meet, self.dst.meet)):
+            witness = None
+            for F, G in itertools.combinations_with_replacement(elems, 2):
+                H = src_op(F, G)
+                img = images[H] if H in images else self(H)
+                expected = dst_op(images[F], images[G])
+                if img != expected:
+                    witness = (F, G, next(
+                        j for j in range(len(self.dst.spectra))
+                        if self.dst.opens(img, j) != self.dst.opens(expected, j)))
+                    break
+            witnesses.append(witness)
+        join_witness, meet_witness = witnesses
         return FrameMorphismReport(
-            preserves_top=top_ok, preserves_joins=join_ok,
-            preserves_binary_meets=meet_ok,
+            preserves_top=top_ok, preserves_joins=join_witness is None,
+            preserves_binary_meets=meet_witness is None,
             meet_witness=meet_witness, join_witness=join_witness)
 
 
@@ -338,5 +331,5 @@ def frame_nontrivial_without_states(A: PartialBooleanAlgebra) -> bool:
     if atom_member is not None:
         candidates.append(frame.principal(
             atom_member, frozenset(frame.spectra[atom_member])))
-    distinct = {frame._sort_key(F) for F in candidates}
-    return all(frame.admissible(F) for F in candidates) and len(distinct) >= 3
+    return (all(frame.admissible(F) for F in candidates)
+            and len(set(candidates)) >= 3)

@@ -84,10 +84,14 @@ def parse_algebra_text(text: str) -> PartialBooleanAlgebra:
     if len(args) != 1:
         raise FormatError("'zero' takes one value", line=ln)
     zero = to_int(args[0], ln)
+    if not 0 <= zero < n:
+        raise FormatError("'zero' index out of range", line=ln)
     ln, args = take("one")
     if len(args) != 1:
         raise FormatError("'one' takes one value", line=ln)
     one = to_int(args[0], ln)
+    if not 0 <= one < n:
+        raise FormatError("'one' index out of range", line=ln)
 
     labels = None
     got = take("labels", optional=True)

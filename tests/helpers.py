@@ -1,6 +1,5 @@
 """Shared machinery for the acceptance suite: vectorized exhaustive checks
-for the tensor factorization criterion and bitmask-encoded Bohrification
-frames for fast preservation sweeps."""
+for the tensor factorization criterion."""
 
 from __future__ import annotations
 
@@ -10,7 +9,6 @@ import numpy as np
 
 from pbalg.core import PartialBooleanAlgebra, enumerate_morphisms
 from pbalg.colimit import TensorResult, tensor_factorization, tensor_product
-from pbalg.bohr import BohrFrame, FrameMap
 
 
 # ---------------------------------------------------------------------------
@@ -137,68 +135,3 @@ def tensor_iff_exhaustive(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
                 assert not Z.comm_pair(f.map[a], g.map[b])
     return stats
 
-
-# ---------------------------------------------------------------------------
-# bitmask-encoded frames
-# ---------------------------------------------------------------------------
-
-class FrameIndex:
-    """A Bohrification frame with elements encoded as point bitmasks, plus
-    meet/join index tables for fast preservation sweeps."""
-
-    def __init__(self, A: PartialBooleanAlgebra):
-        self.frame = BohrFrame(A)
-        self.offsets = []
-        total = 0
-        for pts in self.frame.spectra:
-            self.offsets.append(total)
-            total += len(pts)
-        self.point_pos = [
-            {p: k for k, p in enumerate(pts)} for pts in self.frame.spectra]
-        self.elements = self.frame.elements()
-        self.codes = [self.encode(F) for F in self.elements]
-        self.index = {c: i for i, c in enumerate(self.codes)}
-        n = len(self.elements)
-        self.meet_idx = [[self.index[self.codes[i] & self.codes[j]]
-                          for j in range(n)] for i in range(n)]
-        self.join_idx = [[self.index[self.codes[i] | self.codes[j]]
-                          for j in range(n)] for i in range(n)]
-        self.top_index = self.index[self.encode(self.frame.top())]
-        self.bottom_index = self.index[self.encode(self.frame.bottom())]
-
-    def encode(self, F) -> int:
-        code = 0
-        for i, opens in enumerate(F):
-            for p in opens:
-                code |= 1 << (self.offsets[i] + self.point_pos[i][p])
-        return code
-
-
-_FRAME_CACHE: dict[PartialBooleanAlgebra, FrameIndex] = {}
-
-
-def frame_index(A: PartialBooleanAlgebra) -> FrameIndex:
-    if A not in _FRAME_CACHE:
-        _FRAME_CACHE[A] = FrameIndex(A)
-    return _FRAME_CACHE[A]
-
-
-def frame_preservation(f, src: FrameIndex, dst: FrameIndex) -> dict:
-    """Top/join/meet preservation of the induced frame map over the whole
-    enumerated source frame, with a witness for the first meet failure."""
-    fm = FrameMap(f, src=src.frame, dst=dst.frame)
-    img = [dst.encode(fm(F)) for F in src.elements]
-    out = {"top": img[src.top_index] == dst.codes[dst.top_index],
-           "joins": True, "meets": True, "meet_witness": None}
-    n = len(src.elements)
-    for i in range(n):
-        for j in range(i, n):
-            if img[src.join_idx[i][j]] != img[i] | img[j]:
-                out["joins"] = False
-    for i in range(n):
-        for j in range(i, n):
-            if img[src.meet_idx[i][j]] != img[i] & img[j]:
-                out["meets"] = False
-                if out["meet_witness"] is None:
-                    out["meet_witness"] = (src.elements[i], src.elements[j])
-    return out

@@ -19,6 +19,7 @@ from pbalg.bohr import (
     member_image,
     reflects_commeasurability,
 )
+from pbalg.errors import DomainError, PbalgError
 from pbalg.corpus import (
     cabello18_algebra,
     mo2_algebra,
@@ -51,10 +52,9 @@ def test_pullback_condition_rejects_bad_family(mo2_frame):
     # choosing the point of the least member forces every point upstairs
     least = next(i for i, m in enumerate(mo2_frame.poset.members) if len(m) == 2)
     atom_member = next(i for i, m in enumerate(mo2_frame.poset.members) if len(m) == 4)
-    fam = list(mo2_frame.bottom())
-    fam[least] = frozenset(mo2_frame.spectra[least])
-    fam[atom_member] = frozenset()
-    assert not mo2_frame.admissible(tuple(fam))
+    fam = mo2_frame.mask(least, mo2_frame.spectra[least])
+    assert mo2_frame.opens(fam, atom_member) == frozenset()
+    assert not mo2_frame.admissible(fam)
 
 
 def test_frame_cardinalities(mo2_frame):
@@ -63,10 +63,49 @@ def test_frame_cardinalities(mo2_frame):
 
 
 def test_independent_enumerations_agree(mo2_frame):
-    for A in [boolean_algebra(1), boolean_algebra(2), mo2_algebra(),
-              mo3_algebra(), boolean_algebra(3)]:
+    for A, size in [(boolean_algebra(1), 2), (boolean_algebra(2), 5),
+                    (mo2_algebra(), 17), (mo3_algebra(), 65),
+                    (boolean_algebra(3), 96)]:
         fr = BohrFrame(A)
-        assert fr.elements() == fr.elements_recursive()
+        els = fr.elements()
+        assert els == fr.elements_recursive()
+        assert len(els) == size and list(els) == sorted(els)
+
+
+def test_up_table_is_transitively_closed():
+    for A in small_corpus():
+        fr = BohrFrame(A)
+        for b, up in enumerate(fr.up):
+            assert up >> b & 1
+            for c in range(len(fr.up)):
+                if up >> c & 1:
+                    assert fr.up[c] & ~up == 0
+
+
+NEGATIVE = pytest.param(lambda fr: -1, id="negative")
+TOO_WIDE = pytest.param(lambda fr: fr.top() + 1, id="too-wide")
+
+
+def least_point_only(fr):
+    least = next(i for i, m in enumerate(fr.poset.members) if len(m) == 2)
+    return fr.mask(least, fr.spectra[least])
+
+
+@pytest.mark.parametrize("make", [
+    NEGATIVE, TOO_WIDE, pytest.param(lambda fr: (frozenset(),), id="tuple")])
+def test_check_shape_rejects_non_masks(mo2_frame, make):
+    with pytest.raises(DomainError):
+        mo2_frame.check_shape(make(mo2_frame))
+    with pytest.raises(DomainError):
+        mo2_frame.admissible(make(mo2_frame))
+
+
+@pytest.mark.parametrize("make", [
+    NEGATIVE, TOO_WIDE, pytest.param(least_point_only, id="inadmissible")])
+def test_frame_laws_reject_bad_family_with_library_error(mo2_frame, make):
+    # raised, not asserted, so the certificate also holds under python -O
+    with pytest.raises(PbalgError):
+        mo2_frame.check_frame_laws([mo2_frame.bottom(), make(mo2_frame)])
 
 
 def test_seventeen_by_casework(mo2_frame):
@@ -74,9 +113,9 @@ def test_seventeen_by_casework(mo2_frame):
     # everything, otherwise the two block members are free
     els = mo2_frame.elements()
     least = next(i for i, m in enumerate(mo2_frame.poset.members) if len(m) == 2)
-    full_least = [F for F in els if F[least]]
+    full_least = [F for F in els if mo2_frame.opens(F, least)]
     assert len(full_least) == 1
-    assert len([F for F in els if not F[least]]) == 4 * 4
+    assert len([F for F in els if not mo2_frame.opens(F, least)]) == 4 * 4
 
 
 def test_frame_laws(mo2_frame):
@@ -96,8 +135,9 @@ def test_principal_families_are_least(mo2_frame):
         for p in pts:
             gen = mo2_frame.principal(i, frozenset({p}))
             assert gen in els
-            smaller = [F for F in els if p in F[i]
-                       and all(f <= g for f, g in zip(F, gen))]
+            smaller = [F for F in els if p in mo2_frame.opens(F, i)
+                       and all(mo2_frame.opens(F, k) <= mo2_frame.opens(gen, k)
+                               for k in range(len(mo2_frame.spectra)))]
             assert smaller == [gen]
 
 
@@ -158,7 +198,8 @@ def test_paper_map_breaks_binary_meets(mo2, mo2_frame):
     assert not rep.preserves_binary_meets
     F, G, j = rep.meet_witness
     # the witness is re-checkable
-    assert fm(fm.src.meet(F, G))[j] != fm.dst.meet(fm(F), fm(G))[j]
+    assert fm.dst.opens(fm(fm.src.meet(F, G)), j) != \
+        fm.dst.opens(fm.dst.meet(fm(F), fm(G)), j)
 
 
 def test_reflecting_morphisms_preserve_meets():

@@ -188,6 +188,20 @@ def test_syntax_error_exit_two(tmp_path):
     assert "syntax" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("good, bad, line", [
+    ("one 1", "one 81", 4), ("zero 0", "zero 9", 3), ("one 1", "one -1", 4)])
+def test_zero_or_one_out_of_range_exit_two(tmp_path, good, bad, line):
+    with open(corpus_path("mo2.pba"), encoding="utf-8") as fh:
+        text = fh.read().replace(f"\n{good}\n", f"\n{bad}\n")
+    with pytest.raises(FormatError) as err:
+        parse_algebra_text(text)
+    assert err.value.line == line
+    path = tmp_path / "bad.pba"
+    path.write_text(text)
+    code, _ = run_cli("validate", str(path))
+    assert code == 2
+
+
 def test_missing_file_exit_two():
     code, _ = run_cli("validate", "no-such-file.pba")
     assert code == 2
@@ -318,6 +332,40 @@ def test_bohrify_with_morphism_report():
     assert morph["preserves_top"] and morph["preserves_joins"]
     assert not morph["preserves_binary_meets"]
     assert not morph["reflects_commeasurability"]
+
+
+BLOCK0 = ["0", "1", "x0", "x0'"]
+BLOCK1 = ["0", "1", "x1", "x1'"]
+MO2_FRAME = {"members": 3, "frame_size": 17, "frame_laws": "ok",
+             "generator_count": 5}
+BOHRIFY_GOLDEN = [
+    (["mo2.pba", "--list-generators"],
+     {**MO2_FRAME, "generators": [
+         {"member": ["0", "1"], "point": "1"},
+         {"member": BLOCK0, "point": "x0"},
+         {"member": BLOCK0, "point": "x0'"},
+         {"member": BLOCK1, "point": "x1"},
+         {"member": BLOCK1, "point": "x1'"}]}),
+    (["mo2.pba", "--morphism-to", "bool2.pba",
+      "--map", "0:00,1:11,x0:10,x0':01,x1:10,x1':01"],
+     {**MO2_FRAME, "generators": "omitted", "morphism": {
+         "reflects_commeasurability": False, "preserves_top": True,
+         "preserves_joins": True, "preserves_binary_meets": False}}),
+    (["cabello18.rays", "--max-frame", "4"],
+     {"members": 202, "frame_size": None,
+      "frame_laws": "skipped (enumeration over cutoff)",
+      "generator_count": 559, "generators": "omitted"}),
+]
+
+
+@pytest.mark.parametrize("argv, expected", BOHRIFY_GOLDEN)
+def test_bohrify_report_is_golden(argv, expected):
+    argv = [corpus_path(a) if a.endswith((".pba", ".rays")) else a for a in argv]
+    code, out = run_cli("bohrify", *argv)
+    assert code == 0
+    # key order too: the report must stay byte-identical
+    assert json.dumps(json.loads(out)["results"], indent=2) == \
+        json.dumps(expected, indent=2)
 
 
 def test_matrix_import_and_proj():
