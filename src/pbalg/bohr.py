@@ -84,15 +84,24 @@ class BohrFrame:
         self.check_shape(fam)
         return all(self.up[b] & ~fam == 0 for b in _bits(fam))
 
+    def _bit_of(self, member_index: int, point: int) -> int:
+        try:
+            return self.bit[member_index, point]
+        except KeyError:
+            raise DomainError(f"point {point} is not in the spectrum of member "
+                              f"{member_index} of {len(self.spectra)}") from None
+
     def mask(self, member_index: int, points: Iterable[int]) -> FrameElement:
         """The family choosing the given points at one member, nothing else."""
         fam = 0
         for p in points:
-            fam |= 1 << self.bit[member_index, p]
+            fam |= 1 << self._bit_of(member_index, p)
         return fam
 
     def opens(self, fam: FrameElement, member_index: int) -> frozenset[int]:
         """The points a family chooses at one member."""
+        if not 0 <= member_index < len(self.spectra):
+            raise DomainError(f"no member {member_index} among {len(self.spectra)}")
         return frozenset(p for p in self.spectra[member_index]
                          if fam >> self.bit[member_index, p] & 1)
 
@@ -119,7 +128,7 @@ class BohrFrame:
         the given points: the join of their up-sets."""
         fam = self.bottom()
         for p in points:
-            fam |= self.up[self.bit[member_index, p]]
+            fam |= self.up[self._bit_of(member_index, p)]
         return fam
 
     # -- enumeration ----------------------------------------------------------

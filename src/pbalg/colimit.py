@@ -13,6 +13,7 @@ than being repaired.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -22,6 +23,7 @@ from .errors import (
     CoconeError,
     DomainError,
     InvalidAlgebraError,
+    PbalgError,
     SearchCutoffError,
 )
 from .core import (
@@ -112,7 +114,9 @@ def mediating_morphism(A: PartialBooleanAlgebra, c: Cocone,
             "the input diagram is not a valid partial Boolean algebra")
     for member in P.members:
         for a in member:
-            assert m.map[a] == c.legs[member][a]
+            if m.map[a] != c.legs[member][a]:
+                raise CoconeError("mediating map disagrees with a cocone leg",
+                                  pair=(member, None))
     return m
 
 
@@ -261,9 +265,11 @@ def verify_colimit(A: PartialBooleanAlgebra,
             route = "constrained-search"
             alternatives = len(solutions)
             if all_homs is not None:
-                matching = [h for h in all_homs
-                            if all(h.map[a] == c.legs[member][a]
-                                   for member in P.members for a in member)]
+                # check_cocone has made every leg agree with ``prescribed``;
+                # ``pick`` reads a map at the pinned elements in one call
+                pick = operator.itemgetter(*prescribed)
+                want = pick(prescribed)
+                matching = [h for h in all_homs if pick(h.map) == want]
                 unique = unique and len(matching) == 1 and matching[0].map == m.map
                 alternatives = len(matching)
                 route = "filtered-enumeration"
@@ -340,7 +346,9 @@ def coproduct(algs: Sequence[PartialBooleanAlgebra]) -> tuple[PartialBooleanAlge
     injections = [PbaMorphism(A, out, tuple(pos[si][a] for a in A.elements()))
                   for si, A in enumerate(algs)]
     for inj in injections:
-        assert check_morphism(inj).ok
+        chk = check_morphism(inj)
+        if not chk.ok:
+            raise AmalgamError(f"coproduct injection fails: {chk.message}")
     return out, injections
 
 
@@ -376,7 +384,9 @@ def product(algs: Sequence[PartialBooleanAlgebra]) -> tuple[PartialBooleanAlgebr
     projections = [PbaMorphism(out, A, tuple(t[k] for t in tuples))
                    for k, A in enumerate(algs)]
     for p in projections:
-        assert check_morphism(p).ok
+        chk = check_morphism(p)
+        if not chk.ok:
+            raise PbalgError(f"product projection fails: {chk.message}")
     return out, projections
 
 
@@ -429,7 +439,10 @@ def boolean_coproduct(C: PartialBooleanAlgebra, D: PartialBooleanAlgebra
 
     kc = PbaMorphism(C, out, tuple(inj_c(x) for x in C.elements()))
     kd = PbaMorphism(D, out, tuple(inj_d(y) for y in D.elements()))
-    assert check_morphism(kc).ok and check_morphism(kd).ok
+    for k in (kc, kd):
+        chk = check_morphism(k)
+        if not chk.ok:
+            raise AmalgamError(f"free product injection fails: {chk.message}")
     return out, kc, kd
 
 

@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 from .errors import (
     DomainError,
     InvalidAlgebraError,
+    PbalgError,
     SearchCutoffError,
     StructuralError,
     UndefinedOperationError,
@@ -965,6 +966,15 @@ def check_morphism(f: PbaMorphism) -> MorphismCheck:
     return MorphismCheck(True)
 
 
+def _trusted_morphism(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
+                      m: tuple[int, ...]) -> PbaMorphism:
+    """A PbaMorphism built without the range checks of ``__post_init__``,
+    for maps the caller has already proved to be morphisms A -> B."""
+    f = object.__new__(PbaMorphism)
+    f.__dict__.update(dom=A, cod=B, map=m)
+    return f
+
+
 def enumerate_morphisms(
     A: PartialBooleanAlgebra,
     B: PartialBooleanAlgebra,
@@ -978,81 +988,145 @@ def enumerate_morphisms(
     ``prescribed`` pins chosen elements to fixed images; the search then
     exhausts exactly the morphisms extending that partial map (used for
     uniqueness checks against cocone equations)."""
-    n = A.n
-    # pairs whose meet/join lands at element t, for deferred checks
-    meet_last: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    join_last: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    n, m = A.n, B.n
+    pinned = prescribed or {}
+    for a, z in pinned.items():
+        if not (0 <= a < n and 0 <= z < m):
+            raise DomainError(f"prescribed image {a} -> {z} out of range")
+
+    # Candidate masks over B.  Each table, indexed by images already chosen,
+    # gives the set of z that pass morphism clauses against them.
+    col = [0] * m          # [w]: z with w in B.comm[z]
+    meet_self = [0] * m    # [w]: z with B.meet[z][w] == z
+    join_self = [0] * m    # [w]: z with B.join[z][w] == z
+    meet_eq = [[0] * m for _ in range(m)]  # [w][v]: z with B.meet[z][w] == v
+    join_eq = [[0] * m for _ in range(m)]
+    for z in range(m):
+        bz = 1 << z
+        for w in _bits(B.comm[z]):
+            col[w] |= bz
+        for w, (v, u) in enumerate(zip(B.meet[z], B.join[z])):
+            if v != UNDEF:
+                meet_eq[w][v] |= bz
+            if u != UNDEF:
+                join_eq[w][u] |= bz
+            if v == z:
+                meet_self[w] |= bz
+            if u == z:
+                join_self[w] |= bz
+    # the clauses of k against one earlier commeasurable j that read f[j]
+    # alone, keyed by (k ∧ j == k, k ∨ j == k)
+    pred_clauses = {
+        (False, False): col,
+        (True, False): [c & s for c, s in zip(col, meet_self)],
+        (False, True): [c & s for c, s in zip(col, join_self)],
+        (True, True): [c & s & t for c, s, t in zip(col, meet_self, join_self)]}
+    neg_bit = [1 << v for v in B.neg]
+    meet_bit = [[1 << v if v != UNDEF else 0 for v in row] for row in B.meet]
+    join_bit = [[1 << v if v != UNDEF else 0 for v in row] for row in B.join]
+
+    # a meet or join of an earlier pair landing at a later element pins it
+    pins: list[list[tuple[list[list[int]], int, int]]] = [[] for _ in range(n)]
     for a in range(n):
-        for b in range(a + 1, n):
-            if A.comm_pair(a, b):
-                t = A.meet[a][b]
-                u = A.join[a][b]
-                if t > max(a, b):
-                    meet_last[t].append((a, b))
-                if u > max(a, b):
-                    join_last[u].append((a, b))
+        for b in _bits(A.comm[a] >> (a + 1) << (a + 1)):
+            if A.meet[a][b] > b:
+                pins[A.meet[a][b]].append((meet_bit, a, b))
+            if A.join[a][b] > b:
+                pins[A.join[a][b]].append((join_bit, a, b))
 
-    f = [UNDEF] * n
-    out: list[PbaMorphism] = []
+    # Compile each position k.  Given the images f of the earlier positions,
+    # its domain is init[k] ANDed with table[f[j]] for each (table, j) in
+    # unary[k] and with table[f[i]][f[j]] for each (table, i, j) in
+    # binary[k].  A position whose init mask is one bit has that image in
+    # every prefix that gets past it, so the clauses reading it fold into
+    # later init masks.  cost[k] is the candidate count of a trial-by-trial
+    # backtracker (1 when forced, else B.n), so the node budget counts the
+    # nodes that search would visit.
+    full = (1 << m) - 1
+    init: list[int] = []
+    cost: list[int] = []
+    unary: list[list[tuple[list[int], int]]] = []
+    binary: list[list[tuple[list[list[int]], int, int]]] = []
+    image: list[int | None] = []
+    for k in range(n):
+        mask, forced = full, False
+        for fixed, value in ((k in pinned, pinned.get(k)),
+                             (k == A.zero, B.zero), (k == A.one, B.one)):
+            if fixed:
+                mask &= 1 << value
+                forced = True
+        reads = []
+        if A.neg[k] < k:
+            reads.append((neg_bit, A.neg[k]))
+            forced = True
+        cost.append(1 if forced else m)
+        pairs = pins[k]
+        for j in _bits(A.comm[k] & ((1 << k) - 1)):
+            t, u = A.meet[k][j], A.join[k][j]
+            reads.append((pred_clauses[t == k, u == k], j))
+            if 0 <= t < k:
+                pairs.append((meet_eq, j, t))
+            if 0 <= u < k:
+                pairs.append((join_eq, j, u))
+        left = []
+        for table, i, j in pairs:
+            if image[i] is not None:
+                reads.append((table[image[i]], j))
+            elif image[j] is not None:
+                reads.append(([row[image[j]] for row in table], i))
+            else:
+                left.append((table, i, j))
+        tables: dict[int, list[int]] = {}
+        for table, j in reads:
+            if image[j] is not None:
+                mask &= table[image[j]]
+            elif j in tables:
+                tables[j] = [x & y for x, y in zip(tables[j], table)]
+            else:
+                tables[j] = table
+        init.append(mask)
+        unary.append(list(zip(tables.values(), tables)))
+        binary.append(left)
+        image.append(mask.bit_length() - 1 if mask and not mask & (mask - 1) else None)
+
+    # Explicit-stack search.  rest[k] holds the untried candidates at k,
+    # taken lowest first so the maps come out in lexicographic order; each
+    # candidate at the last position is a morphism.
+    maps: list[tuple[int, ...]] = []
+    f = [0] * n
+    rest = [0] * n
+    last = n - 1
     nodes = 0
-
-    def consistent(k: int, z: int) -> bool:
-        if k == A.zero and z != B.zero:
-            return False
-        if k == A.one and z != B.one:
-            return False
-        if A.neg[k] < k and z != B.neg[f[A.neg[k]]]:
-            return False
-        for j in range(k):
-            if not A.comm_pair(k, j):
-                continue
-            w = f[j]
-            if not B.comm_pair(z, w):
-                return False
-            t = A.meet[k][j]
-            tv = z if t == k else f[t] if t < k else UNDEF
-            if tv != UNDEF and B.meet[z][w] != tv:
-                return False
-            u = A.join[k][j]
-            uv = z if u == k else f[u] if u < k else UNDEF
-            if uv != UNDEF and B.join[z][w] != uv:
-                return False
-        for i, j in meet_last[k]:
-            if i < k and j < k and B.meet[f[i]][f[j]] != z:
-                return False
-        for i, j in join_last[k]:
-            if i < k and j < k and B.join[f[i]][f[j]] != z:
-                return False
-        return True
-
-    def assign(k: int):
-        nonlocal nodes
-        if k == n:
-            out.append(PbaMorphism(A, B, tuple(f)))
-            return
-        if prescribed is not None and k in prescribed:
-            candidates = (prescribed[k],)
-        elif k == A.zero:
-            candidates = (B.zero,)
-        elif k == A.one:
-            candidates = (B.one,)
-        elif A.neg[k] < k:
-            candidates = (B.neg[f[A.neg[k]]],)
+    k = 0
+    while True:
+        nodes += cost[k]
+        if nodes > max_nodes:
+            raise SearchCutoffError(
+                f"search too large: morphism enumeration exceeded {max_nodes} nodes",
+                limit=max_nodes)
+        dom = init[k]
+        for table, j in unary[k]:
+            dom &= table[f[j]]
+        for table, i, j in binary[k]:
+            dom &= table[f[i]][f[j]]
+        if k == last:
+            while dom:
+                low = dom & -dom
+                dom ^= low
+                f[k] = low.bit_length() - 1
+                maps.append(tuple(f))
+            k -= 1
         else:
-            candidates = range(B.n)
-        for z in candidates:
-            nodes += 1
-            if nodes > max_nodes:
-                raise SearchCutoffError(
-                    f"search too large: morphism enumeration exceeded {max_nodes} nodes",
-                    limit=max_nodes)
-            if consistent(k, z):
-                f[k] = z
-                assign(k + 1)
-                f[k] = UNDEF
-
-    assign(0)
-    return out
+            rest[k] = dom
+        while k >= 0 and not rest[k]:
+            k -= 1
+        if k < 0:
+            return [_trusted_morphism(A, B, mp) for mp in maps]
+        dom = rest[k]
+        low = dom & -dom
+        rest[k] = dom ^ low
+        f[k] = low.bit_length() - 1
+        k += 1
 
 
 # ---------------------------------------------------------------------------
@@ -1214,8 +1288,9 @@ def find_isomorphism(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra) -> tupl
         return False
 
     if extend(0):
-        iso = PbaMorphism(A, B, tuple(f))
-        assert check_morphism(iso).ok
+        chk = check_morphism(PbaMorphism(A, B, tuple(f)))
+        if not chk.ok:
+            raise PbalgError(f"isomorphism search returned a non-morphism: {chk.message}")
         return tuple(f)
     return None
 

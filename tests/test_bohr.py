@@ -100,6 +100,18 @@ def test_check_shape_rejects_non_masks(mo2_frame, make):
         mo2_frame.admissible(make(mo2_frame))
 
 
+@pytest.mark.parametrize("lookup", [
+    pytest.param(lambda fr: fr.principal(0, {99}), id="principal-point"),
+    pytest.param(lambda fr: fr.mask(0, [99]), id="mask-point"),
+    pytest.param(lambda fr: fr.mask(len(fr.spectra), [0]), id="mask-member"),
+    pytest.param(lambda fr: fr.principal(-1, {0}), id="principal-member"),
+    pytest.param(lambda fr: fr.opens(fr.top(), len(fr.spectra)), id="opens-member"),
+    pytest.param(lambda fr: fr.opens(fr.top(), -1), id="opens-negative")])
+def test_lookups_outside_the_spectra_raise_domain_error(mo2_frame, lookup):
+    with pytest.raises(DomainError):
+        lookup(mo2_frame)
+
+
 @pytest.mark.parametrize("make", [
     NEGATIVE, TOO_WIDE, pytest.param(least_point_only, id="inadmissible")])
 def test_frame_laws_reject_bad_family_with_library_error(mo2_frame, make):

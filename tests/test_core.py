@@ -353,9 +353,10 @@ def test_enumerate_morphisms_is_exhaustive_filter(mo2):
     for values in itertools.product(range(2), repeat=mo2.n):
         f = PbaMorphism(mo2, two, values)
         if check_morphism(f).ok:
-            brute.append(values)
-    fast = [f.map for f in enumerate_morphisms(mo2, two)]
-    assert fast == sorted(brute)
+            brute.append(f)
+    # product() runs in lexicographic order; the search's results must also
+    # equal publicly constructed morphisms
+    assert enumerate_morphisms(mo2, two) == brute
 
 
 def test_enumerate_morphisms_deterministic_order(mo2):
@@ -369,11 +370,43 @@ def test_enumerate_morphisms_cutoff():
         enumerate_morphisms(big, boolean_algebra(3), max_nodes=1000)
 
 
-def test_enumerate_morphisms_prescribed(mo2):
-    two = boolean_algebra(1)
-    pinned = enumerate_morphisms(mo2, two, prescribed={2: 1, 4: 1})
-    assert len(pinned) == 1
-    assert pinned[0].map == (0, 1, 1, 0, 1, 0)
+def test_enumerate_morphisms_deep_carrier():
+    # 1024 positions, deeper than Python's default recursion limit
+    homs = enumerate_morphisms(boolean_algebra(10), boolean_algebra(1))
+    assert len(homs) == 10
+    assert all(check_morphism(h).ok for h in homs)
+
+
+@pytest.mark.parametrize("dom, cod, nodes, homs", [
+    pytest.param(2, 1, 14, 4, id="mo2-bool1"),
+    pytest.param(3, 2, 170, 64, id="mo3-bool2"),
+    pytest.param(None, 3, 397, 27, id="bool3-bool3"),
+])
+def test_enumerate_morphisms_budget_is_exact(dom, cod, nodes, homs):
+    # nodes: one per candidate a trial-by-trial search would try (1 at a
+    # forced position, B.n elsewhere); verify_colimit's route choice
+    # depends on this count
+    A = boolean_algebra(3) if dom is None else from_orthomodular(mo_lattice(dom))
+    B = boolean_algebra(cod)
+    assert len(enumerate_morphisms(A, B, max_nodes=nodes)) == homs
+    with pytest.raises(SearchCutoffError):
+        enumerate_morphisms(A, B, max_nodes=nodes - 1)
+
+
+@pytest.mark.parametrize("dom, cod, pins, maps", [
+    pytest.param(2, 1, {2: 1, 4: 1}, [(0, 1, 1, 0, 1, 0)], id="mo2-bool1"),
+    pytest.param(3, 2, {3: 3, 5: 1},
+                 [(0, 3, 0, 3, 2, 1, k, 3 - k) for k in range(4)], id="mo3-bool2"),
+])
+def test_enumerate_morphisms_prescribed(dom, cod, pins, maps):
+    A = from_orthomodular(mo_lattice(dom))
+    pinned = enumerate_morphisms(A, boolean_algebra(cod), prescribed=pins)
+    assert [f.map for f in pinned] == maps
+
+
+def test_enumerate_morphisms_rejects_out_of_range_pins(mo2):
+    with pytest.raises(DomainError):
+        enumerate_morphisms(mo2, boolean_algebra(1), prescribed={2: 5})
 
 
 # ---------------------------------------------------------------------------
