@@ -65,7 +65,7 @@ def check_cocone(A: PartialBooleanAlgebra, P: SubalgebraPoset, c: Cocone) -> Non
         if member not in c.legs:
             raise CoconeError(f"cocone lacks a leg for a member of size {len(member)}",
                               pair=(member, None))
-        sub, embed = sub_algebra(A, member)
+        sub, embed = P._member_algebra(member)
         leg = c.legs[member]
         f = PbaMorphism(sub, c.apex, tuple(leg[a] for a in embed))
         chk = check_morphism(f)
@@ -149,8 +149,7 @@ def cocones_into(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
         remaining.remove(best)
     per_member: list[list[dict[int, int]]] = []
     for i in ordered:
-        member = P.members[i]
-        sub, embed = sub_algebra(A, member)
+        sub, embed = P._member_algebra(P.members[i])
         homs = enumerate_morphisms(sub, B, max_nodes=max_nodes)
         per_member.append([dict(zip(embed, h.map)) for h in homs])
 

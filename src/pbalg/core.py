@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DomainError,
@@ -1228,71 +1228,202 @@ def image_factorization(f: PbaMorphism) -> ImageFactorization:
 # Isomorphism search
 # ---------------------------------------------------------------------------
 
+def _candidate_classes(sig_a: Sequence, sig_b: Sequence) -> list[int] | None:
+    """Candidate masks over B for an isomorphism search: element ``a`` may
+    map to each ``b`` with the same invariant signature.  None when the two
+    signature multisets differ, since then no bijection respects them."""
+    if sorted(sig_a) != sorted(sig_b):
+        return None
+    by_sig: dict = {}
+    for b, s in enumerate(sig_b):
+        by_sig[s] = by_sig.get(s, 0) | 1 << b
+    return [by_sig[s] for s in sig_a]
+
+
+def _isomorphism_search(candidates: Sequence[int],
+                        relations: Sequence[tuple[Sequence[int], Sequence[int]]],
+                        closure: Callable[[int, int, list[int], int],
+                                          Iterable[tuple[int, int]]] | None = None,
+                        ) -> list[int] | None:
+    """A bijection f of 0..n-1 with f[a] in candidates[a] for every a and
+    ``rows_a[a]`` bit x == ``rows_b[f[a]]`` bit f[x] for every relation
+    ``(rows_a, rows_b)`` and every a assigned before x (pass a relation's
+    columns as a second relation to cover the other order), or None.
+
+    ``closure(a, b, f, done)``, if given, runs when a is assigned b, with
+    ``done`` the mask of elements assigned before a; it returns pairs
+    ``(x, y)`` that force f[x] == y, and a negative x or y is a
+    contradiction.  Every decision and every forced image narrows the
+    candidate masks of the unassigned elements (forward checking); an
+    element left with one candidate is assigned in turn.  The search
+    branches on the unassigned element with the fewest candidates, lowest
+    image first, on an explicit stack whose entries keep the masks and
+    images as they were at their decision, so undo memory is one snapshot
+    per decision level.
+    """
+    n = len(candidates)
+    full = (1 << n) - 1
+
+    def propagate(queue: list[int], masks: list[int], f: list[int], free: int) -> int:
+        """Assign the queued elements and everything they force; returns
+        the new free mask, or -1 on a contradiction."""
+        while queue:
+            a = queue.pop()
+            if f[a] >= 0:
+                continue
+            b = masks[a].bit_length() - 1
+            for rows_a, rows_b in relations:
+                if (rows_a[a] >> a & 1) != (rows_b[b] >> b & 1):
+                    return -1
+            f[a] = b
+            done = full ^ free
+            free ^= 1 << a
+            cells = [(free, full ^ 1 << b)]
+            for rows_a, rows_b in relations:
+                inside, row = rows_a[a], rows_b[b]
+                cells = [(part & side, keep & image)
+                         for part, keep in cells
+                         for side, image in ((inside, row), (~inside, ~row))
+                         if part & side]
+            for part, keep in cells:
+                while part:
+                    low = part & -part
+                    part ^= low
+                    x = low.bit_length() - 1
+                    old = masks[x]
+                    m = old & keep
+                    if m != old:
+                        if not m:
+                            return -1
+                        masks[x] = m
+                        if not m & (m - 1):
+                            queue.append(x)
+            if closure is not None:
+                for x, y in closure(a, b, f, done):
+                    if x < 0 or y < 0:
+                        return -1
+                    if f[x] >= 0:
+                        if f[x] != y:
+                            return -1
+                        continue
+                    m = masks[x]
+                    if not m >> y & 1:
+                        return -1
+                    if m != 1 << y:
+                        masks[x] = 1 << y
+                        queue.append(x)
+        return free
+
+    if not all(candidates):
+        return None
+    masks = list(candidates)
+    f = [-1] * n
+    queue = [a for a, m in enumerate(masks) if not m & (m - 1)]
+    stack: list[tuple[int, int, list[int], list[int], int]] = []
+    free = propagate(queue, masks, f, full)
+    while True:
+        if free == 0:
+            return f
+        if free > 0:
+            best, a, rest = n + 1, -1, free
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                x = low.bit_length() - 1
+                c = masks[x].bit_count()
+                if c < best:
+                    best, a = c, x
+            cand = masks[a]
+            stack.append((a, cand, masks, f, free))
+        elif not stack:
+            return None
+        a, cand, saved_masks, saved_f, free = stack[-1]
+        low = cand & -cand
+        if cand == low:
+            stack.pop()
+            masks, f = saved_masks, saved_f
+        else:
+            stack[-1] = (a, cand ^ low, saved_masks, saved_f, free)
+            masks, f = list(saved_masks), list(saved_f)
+        masks[a] = low
+        free = propagate([a], masks, f, free)
+
+
+def _columns(rows: Sequence[int]) -> list[int]:
+    """The transpose of a square relation given as row bitmasks, through
+    the rows' binary strings (character j of row a is bit n-1-j)."""
+    n = len(rows)
+    strings = [format(row, f"0{n}b") for row in rows]
+    return [int("".join(reversed(chars)), 2) for chars in zip(*strings)][::-1]
+
+
 def _signature(A: PartialBooleanAlgebra, a: int) -> tuple:
-    deg = _popcount(A.comm[a])
-    return (a == A.zero, a == A.one, a == A.neg[a], deg)
+    """Isomorphism invariants of an element: whether it is 0, 1 or its own
+    negation, its commeasurability degree, and how many commeasurable
+    elements lie below it (which separates the ranks of a Boolean block)."""
+    row = A.comm[a]
+    down = sum(1 for b, v in enumerate(A.meet[a]) if v == b and row >> b & 1)
+    return (a == A.zero, a == A.one, a == A.neg[a], row.bit_count(), down)
+
+
+def _certify_isomorphism(f: PbaMorphism) -> None:
+    """Raise PbalgError unless f is a morphism, a bijection, and reflects
+    commeasurability, so that its inverse is a morphism too."""
+    chk = check_morphism(f)
+    if not chk.ok:
+        raise PbalgError(f"isomorphism search returned a non-morphism: {chk.message}")
+    A, B, m = f.dom, f.cod, f.map
+    if A.n != B.n or len(set(m)) != B.n:
+        raise PbalgError("isomorphism search returned a map that is not a bijection")
+    inverse = [0] * B.n
+    for a, v in enumerate(m):
+        inverse[v] = a
+    for a in range(A.n):
+        # bit v of the moved row is bit inverse[v] of A.comm[a]
+        bits = format(A.comm[a], f"0{A.n}b")[::-1]
+        moved = "".join(map(bits.__getitem__, inverse))
+        if int(moved[::-1], 2) != B.comm[m[a]]:
+            raise PbalgError(
+                f"isomorphism search returned a map that does not reflect "
+                f"commeasurability at {A.labels[a]}")
 
 
 def find_isomorphism(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra) -> tuple[int, ...] | None:
-    """Search for a bijection preserving 0, 1, neg, comm, meet and join.
-    Returns the map A-index -> B-index, or None."""
+    """Search for a bijection preserving 0, 1, neg, comm, meet and join,
+    and reflecting comm.  Returns the map A-index -> B-index, or None."""
     if A.n != B.n:
         return None
-    sig_b: dict[tuple, list[int]] = {}
-    for b in range(B.n):
-        sig_b.setdefault(_signature(B, b), []).append(b)
-    for a in range(A.n):
-        if len(sig_b.get(_signature(A, a), [])) == 0:
-            return None
+    candidates = _candidate_classes([_signature(A, a) for a in range(A.n)],
+                                    [_signature(B, b) for b in range(B.n)])
+    if candidates is None:
+        return None
+    cols_a, cols_b = _columns(A.comm), _columns(B.comm)
+    relations = [(cols_a, cols_b)]
+    if cols_a != list(A.comm) or cols_b != list(B.comm):
+        relations.append((A.comm, B.comm))
+    # the pairs check_morphism reads, a < b with A.comm_pair(a, b), are
+    # each met once, when the later of a and b is assigned
+    near = [r | c for r, c in zip(A.comm, cols_a)]
 
-    order = sorted(range(A.n), key=lambda a: len(sig_b[_signature(A, a)]))
-    f = [UNDEF] * A.n
-    used = [False] * B.n
+    def closure(a: int, b: int, f: list[int], done: int) -> list[tuple[int, int]]:
+        forced = [(A.neg[a], B.neg[b])]
+        rest = near[a] & done
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            x = low.bit_length() - 1
+            fx = f[x]
+            p, q, fp, fq = (a, x, b, fx) if a < x else (x, a, fx, b)
+            if A.comm[p] >> q & 1:
+                forced.append((A.meet[p][q], B.meet[fp][fq]))
+                forced.append((A.join[p][q], B.join[fp][fq]))
+        return forced
 
-    def extend(k: int) -> bool:
-        if k == A.n:
-            return True
-        a = order[k]
-        for b in sig_b[_signature(A, a)]:
-            if used[b]:
-                continue
-            if (a == A.zero) != (b == B.zero) or (a == A.one) != (b == B.one):
-                continue
-            ok = True
-            if f[A.neg[a]] != UNDEF and f[A.neg[a]] != B.neg[b]:
-                ok = False
-            if ok:
-                for a2 in range(A.n):
-                    v = f[a2]
-                    if v == UNDEF:
-                        continue
-                    if A.comm_pair(a, a2) != B.comm_pair(b, v):
-                        ok = False
-                        break
-                    if A.comm_pair(a, a2):
-                        ma = f[A.meet[a][a2]]
-                        if ma != UNDEF and ma != B.meet[b][v]:
-                            ok = False
-                            break
-                        ja = f[A.join[a][a2]]
-                        if ja != UNDEF and ja != B.join[b][v]:
-                            ok = False
-                            break
-            if ok:
-                f[a] = b
-                used[b] = True
-                if extend(k + 1):
-                    return True
-                f[a] = UNDEF
-                used[b] = False
-        return False
-
-    if extend(0):
-        chk = check_morphism(PbaMorphism(A, B, tuple(f)))
-        if not chk.ok:
-            raise PbalgError(f"isomorphism search returned a non-morphism: {chk.message}")
-        return tuple(f)
-    return None
+    f = _isomorphism_search(candidates, relations, closure)
+    if f is None:
+        return None
+    _certify_isomorphism(_trusted_morphism(A, B, tuple(f)))
+    return tuple(f)
 
 
 def is_isomorphic(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra) -> bool:

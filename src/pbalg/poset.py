@@ -10,15 +10,19 @@ all subsets of the carrier.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import DomainError, SearchCutoffError
 from .core import (
     PartialBooleanAlgebra,
+    _candidate_classes,
+    _columns,
+    _isomorphism_search,
     atoms_of_subalgebra,
     join_all,
     maximal_cliques,
+    sub_algebra,
 )
 
 
@@ -45,6 +49,15 @@ class SubalgebraPoset:
     algebra: PartialBooleanAlgebra
     members: tuple[frozenset[int], ...]
     leq: tuple[int, ...]
+    _carriers: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
+
+    def _member_algebra(self, member: frozenset[int]
+                        ) -> tuple[PartialBooleanAlgebra, tuple[int, ...]]:
+        """``sub_algebra(self.algebra, member)``, built once per member."""
+        if member not in self._carriers:
+            self._carriers[member] = sub_algebra(self.algebra, member)
+        return self._carriers[member]
 
     def index_of(self, member: frozenset[int]) -> int:
         try:
@@ -181,52 +194,18 @@ def partition_lattice(k: int) -> tuple[list[frozenset[frozenset[int]]], list[int
 
 
 def _poset_isomorphic(leq_a: list[int], leq_b: list[int]) -> bool:
-    """Backtracking isomorphism search between two finite posets given as
-    bitmask rows."""
-    n = len(leq_a)
-    if n != len(leq_b):
+    """Order isomorphism between two finite posets given as bitmask rows,
+    by the library's isomorphism search with the order read as rows and
+    as columns and each element's (down, up) counts as its class."""
+    if len(leq_a) != len(leq_b):
         return False
-
-    def profile(leq, i):
-        down = sum(1 for j in range(n) if (leq[j] >> i) & 1)
-        up = bin(leq[i]).count("1")
-        return (down, up)
-
-    prof_b: dict[tuple, list[int]] = {}
-    for j in range(n):
-        prof_b.setdefault(profile(leq_b, j), []).append(j)
-    order = sorted(range(n), key=lambda i: len(prof_b.get(profile(leq_a, i), [])))
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(k: int) -> bool:
-        if k == n:
-            return True
-        i = order[k]
-        for j in prof_b.get(profile(leq_a, i), []):
-            if used[j]:
-                continue
-            ok = True
-            for i2 in range(n):
-                j2 = mapping[i2]
-                if j2 == -1:
-                    continue
-                if ((leq_a[i] >> i2) & 1) != ((leq_b[j] >> j2) & 1):
-                    ok = False
-                    break
-                if ((leq_a[i2] >> i) & 1) != ((leq_b[j2] >> j) & 1):
-                    ok = False
-                    break
-            if ok:
-                mapping[i] = j
-                used[j] = True
-                if extend(k + 1):
-                    return True
-                mapping[i] = -1
-                used[j] = False
+    cols_a, cols_b = _columns(leq_a), _columns(leq_b)
+    candidates = _candidate_classes(
+        [(c.bit_count(), r.bit_count()) for r, c in zip(leq_a, cols_a)],
+        [(c.bit_count(), r.bit_count()) for r, c in zip(leq_b, cols_b)])
+    if candidates is None:
         return False
-
-    return extend(0)
+    return _isomorphism_search(candidates, [(leq_a, leq_b), (cols_a, cols_b)]) is not None
 
 
 def downset_matches_partition_lattice(P: SubalgebraPoset, member: frozenset[int]) -> bool:

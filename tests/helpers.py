@@ -1,13 +1,15 @@
-"""Shared machinery for the acceptance suite: vectorized exhaustive checks
-for the tensor factorization criterion."""
+"""Shared machinery for the test suite: vectorized exhaustive checks for the
+tensor factorization criterion, and a brute-force isomorphism oracle with a
+carrier relabelling to feed it."""
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
 
-from pbalg.core import PartialBooleanAlgebra, enumerate_morphisms
+from pbalg.core import UNDEF, PartialBooleanAlgebra, enumerate_morphisms
 from pbalg.colimit import TensorResult, tensor_factorization, tensor_product
 
 
@@ -135,3 +137,67 @@ def tensor_iff_exhaustive(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
                 assert not Z.comm_pair(f.map[a], g.map[b])
     return stats
 
+
+
+# ---------------------------------------------------------------------------
+# brute-force isomorphism oracle
+# ---------------------------------------------------------------------------
+
+def _is_isomorphism(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
+                    m: list[int]) -> bool:
+    """m preserves 0, 1 and neg, preserves and reflects commeasurability,
+    and preserves meets and joins of commeasurable pairs (read from the
+    public tables only)."""
+    if m[A.zero] != B.zero or m[A.one] != B.one:
+        return False
+    for a in range(A.n):
+        if m[A.neg[a]] != B.neg[m[a]]:
+            return False
+        for x in range(A.n):
+            c = bool(A.comm[a] >> x & 1)
+            if c != bool(B.comm[m[a]] >> m[x] & 1):
+                return False
+            if c and (m[A.meet[a][x]] != B.meet[m[a]][m[x]]
+                      or m[A.join[a][x]] != B.join[m[a]][m[x]]):
+                return False
+    return True
+
+
+def brute_force_isomorphic(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra) -> bool:
+    """Try every bijection A -> B that sends 0 to 0 and 1 to 1 (small
+    carriers only)."""
+    if A.n != B.n or (A.zero == A.one) != (B.zero == B.one):
+        return False
+    rest_a = [a for a in range(A.n) if a not in (A.zero, A.one)]
+    rest_b = [b for b in range(B.n) if b not in (B.zero, B.one)]
+    m = [0] * A.n
+    m[A.zero], m[A.one] = B.zero, B.one
+    for images in itertools.permutations(rest_b):
+        for a, b in zip(rest_a, images):
+            m[a] = b
+        if _is_isomorphism(A, B, m):
+            return True
+    return False
+
+
+def relabel(A: PartialBooleanAlgebra, perm: list[int]) -> PartialBooleanAlgebra:
+    """The carrier A with element a renamed perm[a]; perm itself is then an
+    isomorphism from A onto the result."""
+    n = A.n
+    inv = [0] * n
+    for a, p in enumerate(perm):
+        inv[p] = a
+
+    def moved(v: int) -> int:
+        return UNDEF if v == UNDEF else perm[v]
+
+    return PartialBooleanAlgebra(
+        n=n, zero=perm[A.zero], one=perm[A.one],
+        neg=tuple(perm[A.neg[inv[i]]] for i in range(n)),
+        comm=tuple(sum(1 << perm[x] for x in range(n) if A.comm[inv[i]] >> x & 1)
+                   for i in range(n)),
+        meet=tuple(tuple(moved(A.meet[inv[i]][inv[j]]) for j in range(n))
+                   for i in range(n)),
+        join=tuple(tuple(moved(A.join[inv[i]][inv[j]]) for j in range(n))
+                   for i in range(n)),
+        labels=tuple(A.labels[inv[i]] for i in range(n)))

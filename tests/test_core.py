@@ -4,12 +4,16 @@ generated subalgebras, morphisms."""
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import brute_force_isomorphic, relabel
+from pbalg.colimit import tensor_product
 from pbalg.core import (
+    UNDEF,
     PartialBooleanAlgebra,
     PbaMorphism,
     atoms_of_subalgebra,
@@ -34,9 +38,12 @@ from pbalg.core import (
     trivial_algebra,
     validate,
 )
+from pbalg.core import _certify_isomorphism
+from pbalg.corpus import generated_corpus, small_corpus
 from pbalg.errors import (
     DomainError,
     InvalidAlgebraError,
+    PbalgError,
     SearchCutoffError,
     StructuralError,
     UndefinedOperationError,
@@ -469,6 +476,77 @@ def test_isomorphism_distinguishes_structures(mo2):
     assert not is_isomorphic(boolean_algebra(2), boolean_algebra(3))
     assert not is_isomorphic(mo2, paste_blocks(
         block_hypergraph([["a", "b", "c"]])))
+
+
+def _corpus():
+    return small_corpus() + generated_corpus(50, 24)
+
+
+def test_isomorphism_matches_permutation_oracle():
+    small = [A for A in _corpus() if A.n <= 8]
+    verdicts = []
+    for i, A in enumerate(small):
+        for B in small[i:]:
+            if A.n == B.n:
+                found = is_isomorphic(A, B)
+                assert found == brute_force_isomorphic(A, B), (A, B)
+                verdicts.append(found)
+    assert True in verdicts and False in verdicts
+
+
+def test_isomorphism_finds_random_relabelling():
+    rng = random.Random(20261018)
+    carriers = _corpus()
+    assert len(carriers) == 55
+    for A in carriers:
+        perm = rng.sample(range(A.n), A.n)
+        iso = find_isomorphism(A, relabel(A, perm))
+        assert iso is not None, A
+
+
+def test_find_isomorphism_deep_boolean_algebra():
+    A = boolean_algebra(10)
+    iso = find_isomorphism(A, A)
+    assert iso is not None
+    assert sorted(iso) == list(range(A.n))
+    assert check_morphism(PbaMorphism(A, A, iso)).ok
+
+
+def test_tensor_square_law_two_by_four():
+    T = tensor_product(boolean_algebra(2), boolean_algebra(4))
+    assert is_isomorphic(T.algebra, boolean_algebra(8))
+
+
+def _garbage(rng: random.Random, n: int) -> PartialBooleanAlgebra:
+    def table():
+        return tuple(tuple(rng.choice([UNDEF, rng.randrange(n)]) for _ in range(n))
+                     for _ in range(n))
+    return PartialBooleanAlgebra(
+        n=n, zero=rng.randrange(n), one=rng.randrange(n),
+        neg=tuple(rng.randrange(n) for _ in range(n)),
+        comm=tuple(rng.getrandbits(n) for _ in range(n)),
+        meet=table(), join=table(), labels=tuple(f"e{i}" for i in range(n)))
+
+
+def test_isomorphism_on_invalid_carriers_gives_none_or_a_map():
+    rng = random.Random(5)
+    invalid = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        A = _garbage(rng, n)
+        invalid += not validate(A).ok
+        for B in (A, relabel(A, rng.sample(range(n), n)), _garbage(rng, n)):
+            iso = find_isomorphism(A, B)
+            assert iso is None or sorted(iso) == list(range(n))
+    assert invalid > 250
+
+
+def test_isomorphism_certificate_rejects_non_bijective_morphism():
+    b2 = boolean_algebra(2)
+    collapse = PbaMorphism(b2, b2, (0b00, 0b00, 0b11, 0b11))
+    assert check_morphism(collapse).ok
+    with pytest.raises(PbalgError, match="not a bijection"):
+        _certify_isomorphism(collapse)
 
 
 # ---------------------------------------------------------------------------
