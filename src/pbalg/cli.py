@@ -400,6 +400,8 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "morphism_to", None) is not None and args.map is None:
+            parser.error("bohrify: --morphism-to needs --map")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
 

@@ -946,23 +946,30 @@ def check_morphism(f: PbaMorphism) -> MorphismCheck:
         if m[A.neg[a]] != B.neg[m[a]]:
             return MorphismCheck(False, "neg", (a,),
                                  f"neg not preserved at {A.labels[a]}")
+    # One ascending walk over the pairs a < b commeasurable in A, reading
+    # the set bits of A.comm[a] above a off its binary digits.  A comm
+    # violation anywhere is reported first; otherwise the first meet or join
+    # violation in pair order, meet before join.
+    bad = None
     for a in range(A.n):
-        for b in range(a + 1, A.n):
-            if not A.comm_pair(a, b):
+        row = B.comm[m[a]]
+        meet, join = A.meet[a], A.join[a]
+        meet_b, join_b = B.meet[m[a]], B.join[m[a]]
+        for b, digit in enumerate(bin(A.comm[a] >> (a + 1))[:1:-1], a + 1):
+            if digit == "0":
                 continue
-            if not B.comm_pair(m[a], m[b]):
+            if not row >> m[b] & 1:
                 return MorphismCheck(False, "comm", (a, b),
                                      f"commeasurability not preserved at ({A.labels[a]}, {A.labels[b]})")
-    for a in range(A.n):
-        for b in range(a + 1, A.n):
-            if not A.comm_pair(a, b):
-                continue
-            if m[A.meet[a][b]] != B.meet[m[a]][m[b]]:
-                return MorphismCheck(False, "meet", (a, b),
-                                     f"meet not preserved at ({A.labels[a]}, {A.labels[b]})")
-            if m[A.join[a][b]] != B.join[m[a]][m[b]]:
-                return MorphismCheck(False, "join", (a, b),
-                                     f"join not preserved at ({A.labels[a]}, {A.labels[b]})")
+            if bad is None:
+                if m[meet[b]] != meet_b[m[b]]:
+                    bad = ("meet", a, b)
+                elif m[join[b]] != join_b[m[b]]:
+                    bad = ("join", a, b)
+    if bad is not None:
+        clause, a, b = bad
+        return MorphismCheck(False, clause, (a, b),
+                             f"{clause} not preserved at ({A.labels[a]}, {A.labels[b]})")
     return MorphismCheck(True)
 
 

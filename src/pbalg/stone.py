@@ -14,10 +14,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, SearchCutoffError
 from .core import (
     PartialBooleanAlgebra,
     PbaMorphism,
+    _bits,
     atoms_of_subalgebra,
     boolean_algebra,
     check_morphism,
@@ -105,54 +106,75 @@ def _family_from_valuation(A: PartialBooleanAlgebra, P: SubalgebraPoset,
 
 def stone_limit(A: PartialBooleanAlgebra,
                 P: SubalgebraPoset | None = None,
-                max_solutions: int | None = None) -> tuple[CompatibleFamily, ...]:
+                max_solutions: int | None = None,
+                max_nodes: int = 5_000_000) -> tuple[CompatibleFamily, ...]:
     """All compatible families of spectrum points over the member poset,
     canonically ordered by valuation.
 
-    Search runs per block: choose the true atom of each maximal Boolean
-    block and propagate consistency through shared elements.
+    Search runs per block: each maximal Boolean block makes exactly one of
+    its atoms true, consistently on shared elements.  Forced blocks are
+    assigned by unit propagation, and the search branches on the block with
+    the fewest possible atoms.  Every visited state is a node; past
+    ``max_nodes`` it raises SearchCutoffError.  With ``max_solutions`` it
+    stops after that many families (which ones then depends on the search
+    order), so ``max_solutions=1`` decides emptiness.
     """
-    blocks = [frozenset(i for i in range(A.n) if (clique >> i) & 1)
-              for clique in maximal_cliques(A)]
-    block_atoms = [atoms_of_subalgebra(A, blk) for blk in blocks]
-    order = sorted(range(len(blocks)),
-                   key=lambda i: tuple(sorted(blocks[i])))
+    # per block, one (pos, off) pair per atom: the block elements that atom
+    # makes true and false
+    options = []
+    for clique in maximal_cliques(A):
+        blk = frozenset(_bits(clique))
+        row = []
+        for p in atoms_of_subalgebra(A, blk):
+            pos = sum(1 << x for x in blk if A.meet[p][x] == p)
+            row.append((pos, clique ^ pos))
+        options.append(row)
 
-    solutions: list[tuple[int, ...]] = []
-    v: list[int | None] = [None] * A.n
+    def propagate(T: int, F: int, todo: int):
+        """Assign forced blocks until none is left.  A state is a true mask,
+        a false mask and the mask of open blocks; an atom stays possible
+        while it makes nothing true that is false, or false that is true.
+        Returns None on a block with no possible atom, else the state and
+        the open block with the fewest possible atoms (None when closed)."""
+        while True:
+            forced, branch = False, None
+            for b in _bits(todo):
+                live = [(pos, off) for pos, off in options[b]
+                        if not (T & off or F & pos)]
+                if not live:
+                    return None
+                if len(live) == 1:
+                    T, F, todo = T | live[0][0], F | live[0][1], todo ^ (1 << b)
+                    forced = True
+                elif branch is None or len(live) < len(branch[1]):
+                    branch = (b, live)
+            if not forced:
+                return T, F, todo, branch
 
-    def value_in_block(bi: int, atom: int, x: int) -> int:
-        return 1 if A.meet[atom][x] == atom else 0
-
-    def assign(k: int):
-        if max_solutions is not None and len(solutions) >= max_solutions:
-            return
-        if k == len(order):
-            solutions.append(tuple(v))
-            return
-        bi = order[k]
-        for atom in block_atoms[bi]:
-            updates = []
-            ok = True
-            for x in sorted(blocks[bi]):
-                val = value_in_block(bi, atom, x)
-                if v[x] is None:
-                    updates.append(x)
-                    v[x] = val
-                elif v[x] != val:
-                    ok = False
-                    break
-            if ok:
-                assign(k + 1)
-            for x in updates:
-                v[x] = None
-
-    assign(0)
+    # explicit-stack search; solutions are kept as true masks
+    solutions: list[int] = []
+    stack = [(0, 0, (1 << len(options)) - 1)]
+    nodes = 0
+    while stack and (max_solutions is None or len(solutions) < max_solutions):
+        nodes += 1
+        if nodes > max_nodes:
+            raise SearchCutoffError(
+                f"search too large: Stone limit exceeded {max_nodes} nodes",
+                limit=max_nodes)
+        state = propagate(*stack.pop())
+        if state is None:
+            continue
+        T, F, todo, branch = state
+        if branch is None:
+            solutions.append(T)
+        else:
+            b, live = branch
+            stack.extend((T | pos, F | off, todo ^ (1 << b))
+                         for pos, off in reversed(live))
     # a degenerate carrier (0 = 1) has blocks without atoms, hence no family
     P = P or boolean_subalgebras(A)
-    families = [_family_from_valuation(A, P, tuple(int(x) for x in sol))
-                for sol in sorted(solutions)]
-    return tuple(families)
+    valuations = sorted(tuple((T >> x) & 1 for x in range(A.n)) for T in solutions)
+    return tuple(_family_from_valuation(A, P, v) for v in valuations)
 
 
 def stone_limit_poset_oracle(A: PartialBooleanAlgebra,

@@ -1,6 +1,6 @@
 """Shared machinery for the test suite: vectorized exhaustive checks for the
-tensor factorization criterion, and a brute-force isomorphism oracle with a
-carrier relabelling to feed it."""
+tensor factorization criterion, a pairwise morphism-clause walk, and a
+brute-force isomorphism oracle with a carrier relabelling to feed it."""
 
 from __future__ import annotations
 
@@ -9,7 +9,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from pbalg.core import UNDEF, PartialBooleanAlgebra, enumerate_morphisms
+from pbalg.core import (
+    UNDEF,
+    MorphismCheck,
+    PartialBooleanAlgebra,
+    PbaMorphism,
+    enumerate_morphisms,
+)
 from pbalg.colimit import TensorResult, tensor_factorization, tensor_product
 
 
@@ -137,6 +143,38 @@ def tensor_iff_exhaustive(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
                 assert not Z.comm_pair(f.map[a], g.map[b])
     return stats
 
+
+
+# ---------------------------------------------------------------------------
+# pairwise morphism-clause walk
+# ---------------------------------------------------------------------------
+
+def check_morphism_pairwise(f: PbaMorphism) -> MorphismCheck:
+    """The clauses of ``check_morphism`` in its order, read by walking every
+    pair a < b through ``comm_pair``: the first violation and its witness."""
+    A, B, m = f.dom, f.cod, f.map
+    if m[A.zero] != B.zero:
+        return MorphismCheck(False, "zero", (A.zero,), "does not preserve 0")
+    if m[A.one] != B.one:
+        return MorphismCheck(False, "one", (A.one,), "does not preserve 1")
+    for a in range(A.n):
+        if m[A.neg[a]] != B.neg[m[a]]:
+            return MorphismCheck(False, "neg", (a,),
+                                 f"neg not preserved at {A.labels[a]}")
+    pairs = [(a, b) for a, b in itertools.combinations(range(A.n), 2)
+             if A.comm_pair(a, b)]
+    for a, b in pairs:
+        if not B.comm_pair(m[a], m[b]):
+            return MorphismCheck(False, "comm", (a, b),
+                                 f"commeasurability not preserved at ({A.labels[a]}, {A.labels[b]})")
+    for a, b in pairs:
+        if m[A.meet[a][b]] != B.meet[m[a]][m[b]]:
+            return MorphismCheck(False, "meet", (a, b),
+                                 f"meet not preserved at ({A.labels[a]}, {A.labels[b]})")
+        if m[A.join[a][b]] != B.join[m[a]][m[b]]:
+            return MorphismCheck(False, "join", (a, b),
+                                 f"join not preserved at ({A.labels[a]}, {A.labels[b]})")
+    return MorphismCheck(True)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_isomorphic, relabel
+from helpers import brute_force_isomorphic, check_morphism_pairwise, relabel
 from pbalg.colimit import tensor_product
 from pbalg.core import (
     UNDEF,
@@ -344,6 +344,27 @@ def test_zero_violation_reported_first(mo2, b2):
     chk = check_morphism(bad)
     assert not chk.ok
     assert chk.clause == "zero"
+
+
+def test_check_morphism_matches_pairwise_walk():
+    # identity maps with one to three elements moved, each together with its
+    # negation (so the comm, meet and join clauses are reached), or alone
+    rng = random.Random(7)
+    clauses = set()
+    for A in small_corpus() + generated_corpus(50, 24):
+        inner = A.nontrivial()
+        for _ in range(12):
+            m = list(range(A.n))
+            for a in rng.sample(inner, min(len(inner), rng.randint(1, 3))):
+                z = rng.randrange(A.n)
+                m[a] = z
+                if rng.random() < 0.8:
+                    m[A.neg[a]] = A.neg[z]
+            f = PbaMorphism(A, A, tuple(m))
+            chk = check_morphism(f)
+            assert chk == check_morphism_pairwise(f)
+            clauses.add(chk.clause)
+    assert clauses == {None, "neg", "comm", "meet", "join"}
 
 
 def test_enumerate_morphisms_counts(mo2):

@@ -334,6 +334,14 @@ def test_bohrify_with_morphism_report():
     assert not morph["reflects_commeasurability"]
 
 
+def test_bohrify_morphism_without_map_is_usage_error(capsys):
+    code, out = run_cli("bohrify", corpus_path("bool2.pba"),
+                        "--morphism-to", corpus_path("bool1.pba"))
+    assert code == 2
+    assert out == b""
+    assert "--morphism-to needs --map" in capsys.readouterr().err
+
+
 BLOCK0 = ["0", "1", "x0", "x0'"]
 BLOCK1 = ["0", "1", "x1", "x1'"]
 MO2_FRAME = {"members": 3, "frame_size": 17, "frame_laws": "ok",

@@ -3,9 +3,13 @@ and Kochen-Specker detection."""
 
 from __future__ import annotations
 
+import inspect
+import sys
+
 import pytest
 
 from pbalg.core import (
+    PbaMorphism,
     block_hypergraph,
     boolean_algebra,
     check_morphism,
@@ -17,7 +21,8 @@ from pbalg.core import (
     paste_blocks,
     trivial_algebra,
 )
-from pbalg.errors import DomainError
+from pbalg.corpus import chain_of_triangles, generated_corpus, small_corpus
+from pbalg.errors import DomainError, SearchCutoffError
 from pbalg.poset import boolean_subalgebras
 from pbalg.stone import (
     boolean_reflection,
@@ -117,10 +122,11 @@ def test_limit_of_paper_algebra_has_four_points(mo2):
     assert len(fams) == 4
 
 
-def test_limit_matches_two_valued_morphisms(mo2):
-    for A in [mo2, boolean_algebra(2), boolean_algebra(3),
-              from_orthomodular(mo_lattice(3)),
-              paste_blocks(block_hypergraph([["a", "b", "c"], ["c", "d", "e"]]))]:
+def test_limit_matches_two_valued_morphisms(mo2, ks18):
+    carriers = [mo2, from_orthomodular(mo_lattice(3)),
+                paste_blocks(block_hypergraph([["a", "b", "c"], ["c", "d", "e"]])),
+                *small_corpus(), *generated_corpus(50, 24), ks18]
+    for A in carriers:
         fams = stone_limit(A)
         homs = enumerate_morphisms(A, boolean_algebra(1))
         assert sorted(f.valuation for f in fams) == sorted(h.map for h in homs)
@@ -155,6 +161,32 @@ def test_limit_families_are_restriction_compatible(mo2):
 
 def test_limit_of_terminal_is_empty():
     assert stone_limit(trivial_algebra()) == ()
+
+
+@pytest.mark.parametrize("name, nodes", [("cabello18", 29), ("mo3", 15)])
+def test_stone_limit_budget_is_exact(ks18, name, nodes):
+    # one node per visited search state: the Cabello-18 closure is refuted
+    # in 29, and mo3's eight points take 15
+    A = ks18 if name == "cabello18" else from_orthomodular(mo_lattice(3))
+    expected = stone_limit(A)
+    assert stone_limit(A, max_nodes=nodes) == expected
+    with pytest.raises(SearchCutoffError) as info:
+        stone_limit(A, max_nodes=nodes - 1)
+    assert info.value.limit == nodes - 1
+
+
+def test_stone_limit_deep_chain():
+    # 300 blocks in a chain: a search that recursed once per block would
+    # need 300 frames, twice what the lowered recursion limit leaves
+    A = chain_of_triangles(300)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+    try:
+        fams = stone_limit(A, max_solutions=1)
+    finally:
+        sys.setrecursionlimit(old)
+    assert len(fams) == 1
+    assert check_morphism(PbaMorphism(A, boolean_algebra(1), fams[0].valuation)).ok
 
 
 # ---------------------------------------------------------------------------
