@@ -234,7 +234,7 @@ def _do_ks_search(args, report: Report) -> None:
 
 def _do_reflect(args, report: Report) -> None:
     A = _load_algebra(args.input[0])
-    refl = boolean_reflection(A)
+    refl = boolean_reflection(A, max_carrier=args.max_carrier)
     report.results = {
         "limit_points": len(refl.families),
         "reflection_size": refl.reflection.n,

@@ -132,7 +132,9 @@ def cocones_into(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
     """All cocones over the subalgebra diagram of A into B, assembled from
     compatible families of morphisms on the maximal members.  When
     ``max_cocones`` is given and fewer cocones are wanted than exist, a
-    deterministic seeded sample is returned."""
+    deterministic seeded sample is returned.  Each compatible family of
+    maps on a prefix of the members is one node of the assembly; past
+    ``max_nodes`` it raises SearchCutoffError."""
     P = P or boolean_subalgebras(A)
     maximal = P.maximal_indices()
     # overlap-greedy ordering: each new member should share as many elements
@@ -147,55 +149,72 @@ def cocones_into(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
         ordered.append(best)
         covered |= P.members[best]
         remaining.remove(best)
-    per_member: list[list[dict[int, int]]] = []
-    for i in ordered:
-        sub, embed = P._member_algebra(P.members[i])
-        homs = enumerate_morphisms(sub, B, max_nodes=max_nodes)
-        per_member.append([dict(zip(embed, h.map)) for h in homs])
-
+    # join index: member k's Hom list grouped by the images of the elements
+    # it shares with members 0..k-1, each group held as the stack entries
+    # (k + 1, map) in reverse list order; ``sources[k]`` says where the maps
+    # chosen for those members hold the shared elements
     members_list = [P.members[i] for i in ordered]
-    out: list[Cocone] = []
-    chosen: list[dict[int, int]] = []
+    embeds: list[tuple[int, ...]] = []
+    position: dict[int, tuple[int, int]] = {}
+    sources: list[list[tuple[int, int]]] = []
+    index: list[dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]] = []
+    for k, member in enumerate(members_list):
+        sub, embed = P._member_algebra(member)
+        shared = [p for p, a in enumerate(embed) if a in position]
+        sources.append([position[embed[p]] for p in shared])
+        groups: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+        for h in reversed(enumerate_morphisms(sub, B, max_nodes=max_nodes)):
+            key = tuple([h.map[p] for p in shared])
+            groups.setdefault(key, []).append((k + 1, h.map))
+        index.append(groups)
+        embeds.append(embed)
+        for p, a in enumerate(embed):
+            position.setdefault(a, (k, p))
+
     # with sampling requested, enumerate a deterministic prefix several times
     # larger than the sample and draw from it; unbounded enumeration of the
     # full cocone space can explode combinatorially
     hard_cap = None
     if max_cocones is not None:
         hard_cap = max_cocones if rng is None else max(64 * max_cocones, 512)
+    # one explicit stack of compatible prefixes, each entry (k, map chosen
+    # for member k - 1) with its parent's choices still in ``chosen``; every
+    # entry taken is one node, and once ``hard_cap`` cocones are found every
+    # entry still pending counts as one more
+    depth = len(members_list)
+    chosen: list[tuple[int, ...]] = [()] * depth
+    found: list[tuple[tuple[int, ...], ...]] = []
+    stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
     nodes = 0
-
-    def assemble(k: int):
-        nonlocal nodes
-        nodes += 1
+    while stack:
+        k, cand = stack.pop()
+        capped = hard_cap is not None and len(found) >= hard_cap
+        nodes += (1 + len(stack)) if capped else 1
         if nodes > max_nodes:
             raise SearchCutoffError(
                 f"search too large: cocone assembly exceeded {max_nodes} nodes",
                 limit=max_nodes)
-        if hard_cap is not None and len(out) >= hard_cap:
-            return
-        if k == len(members_list):
-            legs: dict[frozenset[int], dict[int, int]] = {}
-            for member in P.members:
-                big = next(idx for idx, mm in enumerate(members_list) if member <= mm)
-                legs[member] = {a: chosen[big][a] for a in member}
-            out.append(Cocone(apex=B, legs=legs))
-            return
-        for cand in per_member[k]:
-            ok = True
-            for prev_i in range(k):
-                shared = members_list[k] & members_list[prev_i]
-                if any(cand[a] != chosen[prev_i][a] for a in shared):
-                    ok = False
-                    break
-            if ok:
-                chosen.append(cand)
-                assemble(k + 1)
-                chosen.pop()
+        if capped:
+            break
+        if k:
+            chosen[k - 1] = cand
+        if k == depth:
+            found.append(tuple(chosen))
+            continue
+        stack.extend(index[k].get(tuple([chosen[j][p] for j, p in sources[k]]), ()))
 
-    assemble(0)
-    if max_cocones is not None and rng is not None and len(out) > max_cocones:
-        out = rng.sample(out, max_cocones)
-    return out
+    if max_cocones is not None and rng is not None and len(found) > max_cocones:
+        found = rng.sample(found, max_cocones)
+    # legs only for the cocones returned: each member reads the map chosen
+    # for the first maximal member that covers it
+    cover = []
+    for member in P.members:
+        k = next(k for k, mm in enumerate(members_list) if member <= mm)
+        where = {a: p for p, a in enumerate(embeds[k])}
+        cover.append((member, k, [(a, where[a]) for a in member]))
+    return [Cocone(apex=B, legs={member: {a: maps[k][p] for a, p in at}
+                                 for member, k, at in cover})
+            for maps in found]
 
 
 @dataclass(frozen=True)

@@ -42,10 +42,6 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 # ---------------------------------------------------------------------------
 # The carrier type
 # ---------------------------------------------------------------------------
@@ -281,34 +277,49 @@ def initial_algebra() -> PartialBooleanAlgebra:
 # Maximal cliques of the commeasurability relation (Bron-Kerbosch, bitsets)
 # ---------------------------------------------------------------------------
 
-def bron_kerbosch(adj: Sequence[int], n: int) -> list[int]:
+def bron_kerbosch(adj: Sequence[int], n: int, max_nodes: int = 5_000_000) -> list[int]:
     """All maximal cliques of an irreflexive adjacency given as row bitmasks,
-    with pivoting, returned in canonical (popcount, value) order."""
-    out: list[int] = []
+    with pivoting, returned in canonical (popcount, value) order.
 
-    def expand(r: int, p: int, x: int):
+    One explicit stack of (R, P, X) states, so clique size is not bounded by
+    Python's recursion limit.  The pivot is the u in P | X with the most
+    neighbours in P, lowest u on ties.  Every state taken from the stack is
+    one node; past ``max_nodes`` it raises SearchCutoffError."""
+    out: list[int] = []
+    stack = [(0, (1 << n) - 1, 0)]
+    nodes = 0
+    while stack:
+        nodes += 1
+        if nodes > max_nodes:
+            raise SearchCutoffError(
+                f"search too large: maximal cliques exceeded {max_nodes} nodes",
+                limit=max_nodes)
+        r, p, x = stack.pop()
         if p == 0 and x == 0:
             out.append(r)
-            return
-        pool = p | x
+            continue
         best_u, best = -1, -1
-        m = pool
+        m = p | x
         while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            c = _popcount(p & adj[u])
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
+            c = (p & adj[u]).bit_count()
             if c > best:
                 best, best_u = c, u
+        # children in ascending v, each seeing P and X as the ones before
+        # it left them; pushed reversed so the lowest v is expanded first
+        children = []
         ext = p & ~adj[best_u]
         while ext:
-            v = (ext & -ext).bit_length() - 1
-            ext &= ext - 1
-            expand(r | _bit(v), p & adj[v], x & adj[v])
-            p &= ~_bit(v)
-            x |= _bit(v)
-
-    expand(0, (1 << n) - 1, 0)
-    return sorted(out, key=lambda m: (_popcount(m), m))
+            low = ext & -ext
+            ext ^= low
+            v = low.bit_length() - 1
+            children.append((r | low, p & adj[v], x & adj[v]))
+            p ^= low
+            x |= low
+        stack.extend(reversed(children))
+    return sorted(out, key=lambda m: (m.bit_count(), m))
 
 
 @lru_cache(maxsize=None)

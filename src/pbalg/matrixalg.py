@@ -703,8 +703,7 @@ def rays_to_pba(rays: Sequence[Sequence[complex]], dim: int,
             adj[j] |= 1 << i
     blocks = []
     for clique in bron_kerbosch(adj, n):
-        size = bin(clique).count("1")
-        if size == dim:
+        if clique.bit_count() == dim:
             blocks.append(frozenset(labels[i] for i in range(n) if (clique >> i) & 1))
     if not blocks:
         raise DomainError("no complete orthogonal basis among the rays")

@@ -93,11 +93,11 @@ class CompatibleFamily:
         raise DomainError("no choice recorded for that member")
 
 
-def _family_from_valuation(A: PartialBooleanAlgebra, P: SubalgebraPoset,
+def _family_from_valuation(member_atoms: list[tuple[frozenset[int], list[int]]],
                            v: tuple[int, ...]) -> CompatibleFamily:
     choice = []
-    for member in P.members:
-        true_atoms = [p for p in atoms_of_subalgebra(A, member) if v[p] == 1]
+    for member, atoms in member_atoms:
+        true_atoms = [p for p in atoms if v[p] == 1]
         if len(true_atoms) != 1:
             raise DomainError("valuation is not a point on some member")
         choice.append((member, true_atoms[0]))
@@ -174,7 +174,8 @@ def stone_limit(A: PartialBooleanAlgebra,
     # a degenerate carrier (0 = 1) has blocks without atoms, hence no family
     P = P or boolean_subalgebras(A)
     valuations = sorted(tuple((T >> x) & 1 for x in range(A.n)) for T in solutions)
-    return tuple(_family_from_valuation(A, P, v) for v in valuations)
+    member_atoms = [(m, atoms_of_subalgebra(A, m)) for m in P.members] if valuations else []
+    return tuple(_family_from_valuation(member_atoms, v) for v in valuations)
 
 
 def stone_limit_poset_oracle(A: PartialBooleanAlgebra,
@@ -254,12 +255,18 @@ class Reflection:
     families: tuple[CompatibleFamily, ...]
 
 
-def boolean_reflection(A: PartialBooleanAlgebra) -> Reflection:
+def boolean_reflection(A: PartialBooleanAlgebra, max_carrier: int = 5000) -> Reflection:
     """Left reflection into total Boolean algebras: the powerset of the
     limit point set, with eta(a) = the points valuing a at 1.  For carriers
-    with no two-valued states the reflection is the one-element algebra."""
+    with no two-valued states the reflection is the one-element algebra.
+    A powerset of more than ``max_carrier`` elements raises
+    SearchCutoffError before it is built."""
     families = stone_limit(A)
     k = len(families)
+    if 1 << k > max_carrier:
+        raise SearchCutoffError(
+            f"reflection carrier has 2^{k} elements, over the cutoff",
+            limit=max_carrier)
     L = boolean_algebra(k)
     values = []
     for a in range(A.n):

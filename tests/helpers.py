@@ -1,6 +1,7 @@
 """Shared machinery for the test suite: vectorized exhaustive checks for the
-tensor factorization criterion, a pairwise morphism-clause walk, and a
-brute-force isomorphism oracle with a carrier relabelling to feed it."""
+tensor factorization criterion, a pairwise morphism-clause walk, a
+brute-force isomorphism oracle with a carrier relabelling to feed it, and
+product-and-filter oracles for cocones and maximal cliques."""
 
 from __future__ import annotations
 
@@ -15,8 +16,10 @@ from pbalg.core import (
     PartialBooleanAlgebra,
     PbaMorphism,
     enumerate_morphisms,
+    sub_algebra,
 )
 from pbalg.colimit import TensorResult, tensor_factorization, tensor_product
+from pbalg.poset import SubalgebraPoset
 
 
 # ---------------------------------------------------------------------------
@@ -239,3 +242,45 @@ def relabel(A: PartialBooleanAlgebra, perm: list[int]) -> PartialBooleanAlgebra:
         join=tuple(tuple(moved(A.join[inv[i]][inv[j]]) for j in range(n))
                    for i in range(n)),
         labels=tuple(A.labels[inv[i]] for i in range(n)))
+
+
+# ---------------------------------------------------------------------------
+# product-and-filter oracles for cocone assembly and maximal cliques
+# ---------------------------------------------------------------------------
+
+def cocone_legs_by_product(P: SubalgebraPoset, B: PartialBooleanAlgebra
+                           ) -> list[dict[frozenset[int], dict[int, int]]]:
+    """The legs of every cocone over the subalgebra diagram into B: one
+    morphism per maximal member, taken in the overlap-greedy member order
+    from the Hom lists in enumeration order, kept when every element gets
+    one value.  Listed in ``itertools.product`` order."""
+    order: list[frozenset[int]] = []
+    remaining = [P.members[i] for i in P.maximal_indices()]
+    covered: set[int] = set()
+    while remaining:
+        best = max(remaining, key=lambda m: (len(m & covered), -len(m)))
+        order.append(best)
+        covered |= best
+        remaining.remove(best)
+    homs = []
+    for member in order:
+        sub, embed = sub_algebra(P.algebra, member)
+        homs.append([dict(zip(embed, h.map)) for h in enumerate_morphisms(sub, B)])
+    out = []
+    for combo in itertools.product(*homs):
+        value: dict[int, int] = {}
+        if all(value.setdefault(a, b) == b for leg in combo for a, b in leg.items()):
+            out.append({m: {a: value[a] for a in m} for m in P.members})
+    return out
+
+
+def maximal_cliques_by_subsets(adj: list[int], n: int) -> list[int]:
+    """Every vertex subset that is a clique and has no clique one vertex
+    larger, as bitmasks in (popcount, value) order (small graphs only)."""
+    def is_clique(mask: int) -> bool:
+        return all((mask & ~(1 << v) & ~adj[v]) == 0 for v in range(n) if mask >> v & 1)
+
+    cliques = [mask for mask in range(1 << n) if is_clique(mask)
+               and not any(is_clique(mask | 1 << v) for v in range(n)
+                           if not mask >> v & 1)]
+    return sorted(cliques, key=lambda m: (m.bit_count(), m))

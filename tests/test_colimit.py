@@ -7,6 +7,7 @@ import itertools
 
 import pytest
 
+from helpers import cocone_legs_by_product
 from pbalg.core import (
     PbaMorphism,
     boolean_algebra,
@@ -33,7 +34,8 @@ from pbalg.colimit import (
     tensor_product,
     verify_colimit,
 )
-from pbalg.errors import CoconeError, DomainError
+from pbalg.corpus import chain_of_triangles, small_corpus
+from pbalg.errors import CoconeError, DomainError, SearchCutoffError
 from pbalg.poset import boolean_subalgebras
 
 
@@ -101,6 +103,35 @@ def test_cocones_biject_with_morphisms(mo2, mo3):
             assert len(cocones) == len(homs)
             mediated = sorted(mediating_morphism(A, c).map for c in cocones)
             assert mediated == [h.map for h in homs]
+
+
+def test_cocones_match_product_oracle(mo2):
+    # the small corpus's blocks share only 0 and 1; the triangle chains'
+    # blocks share an atom and its complement, so the join index filters
+    targets = [boolean_algebra(1), boolean_algebra(2), boolean_algebra(3), mo2]
+    for A in small_corpus() + [chain_of_triangles(2), chain_of_triangles(3)]:
+        P = boolean_subalgebras(A)
+        for B in targets:
+            legs = [c.legs for c in cocones_into(A, B, P)]
+            assert legs == cocone_legs_by_product(P, B)
+
+
+@pytest.mark.parametrize("dom, cod, cap, nodes", [
+    pytest.param("mo2", "bool2", None, 21, id="mo2-bool2"),
+    pytest.param("mo3", "bool2", None, 85, id="mo3-bool2"),
+    pytest.param("mo3", "mo3", None, 585, id="mo3-mo3"),
+    pytest.param("mo3", "mo3", 3, 25, id="mo3-mo3-first3"),
+])
+def test_cocone_budget_is_exact(mo2, mo3, dom, cod, cap, nodes):
+    # one node per compatible prefix, root and complete cocones included;
+    # once ``cap`` cocones are found, each prefix still pending counts too
+    algs = {"mo2": mo2, "mo3": mo3, "bool2": boolean_algebra(2)}
+    A, B = algs[dom], algs[cod]
+    expected = [c.legs for c in cocones_into(A, B, max_cocones=cap)]
+    assert [c.legs for c in cocones_into(A, B, max_cocones=cap, max_nodes=nodes)] == expected
+    with pytest.raises(SearchCutoffError) as info:
+        cocones_into(A, B, max_cocones=cap, max_nodes=nodes - 1)
+    assert info.value.limit == nodes - 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,21 @@ generated subalgebras, morphisms."""
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_isomorphic, check_morphism_pairwise, relabel
+from helpers import (
+    brute_force_isomorphic,
+    check_morphism_pairwise,
+    maximal_cliques_by_subsets,
+    relabel,
+)
 from pbalg.colimit import tensor_product
 from pbalg.core import (
     UNDEF,
@@ -19,6 +26,7 @@ from pbalg.core import (
     atoms_of_subalgebra,
     block_hypergraph,
     boolean_algebra,
+    bron_kerbosch,
     check_morphism,
     compose,
     enumerate_morphisms,
@@ -128,6 +136,53 @@ def test_maximal_clique_check_matches_subset_oracle():
                                 join=b3.join, labels=b3.labels)
     assert not validate(bad).ok
     assert not extension_clause_oracle(bad)
+
+
+def test_bron_kerbosch_matches_subset_oracle():
+    rng = random.Random(8)
+    for _ in range(120):
+        n = rng.randint(0, 12)
+        density = rng.random()
+        adj = [0] * n
+        for u, v in itertools.combinations(range(n), 2):
+            if rng.random() < density:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        assert bron_kerbosch(adj, n) == maximal_cliques_by_subsets(adj, n)
+
+
+def _comm_graph(A: PartialBooleanAlgebra) -> tuple[int, list[int]]:
+    return A.n, [A.comm[v] & ~(1 << v) for v in range(A.n)]
+
+
+@pytest.mark.parametrize("n, adj, nodes, cliques", [
+    pytest.param(*_comm_graph(from_orthomodular(mo_lattice(3))), 11, 3, id="mo3"),
+    pytest.param(5, [1 << (v + 1) % 5 | 1 << (v - 1) % 5 for v in range(5)], 9, 5,
+                 id="five-cycle"),
+    pytest.param(8, [0xFF & ~(1 << v) & ~(1 << (v ^ 1)) for v in range(8)], 31, 16,
+                 id="cocktail-party-8"),
+    # the highest-u pivot on ties would take 12 nodes here
+    pytest.param(8, [154, 153, 128, 19, 171, 144, 0, 55], 11, 5, id="pivot-tie"),
+])
+def test_bron_kerbosch_budget_is_exact(n, adj, nodes, cliques):
+    # one node per (R, P, X) state, the call count of a recursive expansion
+    assert len(bron_kerbosch(adj, n, max_nodes=nodes)) == cliques
+    with pytest.raises(SearchCutoffError) as info:
+        bron_kerbosch(adj, n, max_nodes=nodes - 1)
+    assert info.value.limit == nodes - 1
+
+
+def test_validate_deep_boolean_algebra():
+    # bool8's one block has 256 elements: a clique search that recursed
+    # once per element would need more frames than the lowered limit leaves
+    A = boolean_algebra(8)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+    try:
+        report = validate(A)
+    finally:
+        sys.setrecursionlimit(old)
+    assert report.ok
 
 
 def test_zero_comm_forced_by_construction(mo2):

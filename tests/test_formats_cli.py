@@ -3,6 +3,7 @@ round-trips, exit codes, byte stability."""
 
 from __future__ import annotations
 
+import inspect
 import json
 import subprocess
 import sys
@@ -312,6 +313,29 @@ def test_reflect_verb():
     results = json.loads(out)["results"]
     assert results["reflection_size"] == 16
     assert results["unit_injective"]
+
+
+def test_reflect_respects_max_carrier():
+    # mo3 has 8 two-valued states, so its reflection has 256 elements
+    code, out = run_cli("reflect", corpus_path("mo3.pba"), "--max-carrier", "100")
+    assert code == 3
+    assert "cutoff" in json.loads(out)["error"]
+    code, out = run_cli("reflect", corpus_path("mo3.pba"))
+    assert code == 0
+    assert json.loads(out)["results"]["reflection_size"] == 256
+
+
+def test_validate_verb_on_deep_boolean_algebra(tmp_path):
+    path = tmp_path / "bool8.pba"
+    path.write_text(serialize_algebra(boolean_algebra(8)))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+    try:
+        code, out = run_cli("validate", str(path))
+    finally:
+        sys.setrecursionlimit(old)
+    assert code == 0
+    assert json.loads(out)["results"]["valid"] is True
 
 
 def test_bohrify_verb():
