@@ -277,14 +277,21 @@ def initial_algebra() -> PartialBooleanAlgebra:
 # Maximal cliques of the commeasurability relation (Bron-Kerbosch, bitsets)
 # ---------------------------------------------------------------------------
 
-def bron_kerbosch(adj: Sequence[int], n: int, max_nodes: int = 5_000_000) -> list[int]:
+# Node budget of bron_kerbosch.  The largest search seen on the bundled
+# corpus, the generated corpus and the benchmark workloads takes 1025 nodes
+# (boolean_algebra(10), one block: a chain of one node per element).
+_CLIQUE_MAX_NODES = 5_000_000
+
+
+def bron_kerbosch(adj: Sequence[int], n: int) -> list[int]:
     """All maximal cliques of an irreflexive adjacency given as row bitmasks,
     with pivoting, returned in canonical (popcount, value) order.
 
     One explicit stack of (R, P, X) states, so clique size is not bounded by
     Python's recursion limit.  The pivot is the u in P | X with the most
     neighbours in P, lowest u on ties.  Every state taken from the stack is
-    one node; past ``max_nodes`` it raises SearchCutoffError."""
+    one node; past ``_CLIQUE_MAX_NODES`` it raises SearchCutoffError."""
+    max_nodes = _CLIQUE_MAX_NODES
     out: list[int] = []
     stack = [(0, (1 << n) - 1, 0)]
     nodes = 0

@@ -18,6 +18,7 @@ from helpers import (
     maximal_cliques_by_subsets,
     relabel,
 )
+from pbalg import core
 from pbalg.colimit import tensor_product
 from pbalg.core import (
     UNDEF,
@@ -164,11 +165,13 @@ def _comm_graph(A: PartialBooleanAlgebra) -> tuple[int, list[int]]:
     # the highest-u pivot on ties would take 12 nodes here
     pytest.param(8, [154, 153, 128, 19, 171, 144, 0, 55], 11, 5, id="pivot-tie"),
 ])
-def test_bron_kerbosch_budget_is_exact(n, adj, nodes, cliques):
+def test_bron_kerbosch_budget_is_exact(monkeypatch, n, adj, nodes, cliques):
     # one node per (R, P, X) state, the call count of a recursive expansion
-    assert len(bron_kerbosch(adj, n, max_nodes=nodes)) == cliques
+    monkeypatch.setattr(core, "_CLIQUE_MAX_NODES", nodes)
+    assert len(bron_kerbosch(adj, n)) == cliques
+    monkeypatch.setattr(core, "_CLIQUE_MAX_NODES", nodes - 1)
     with pytest.raises(SearchCutoffError) as info:
-        bron_kerbosch(adj, n, max_nodes=nodes - 1)
+        bron_kerbosch(adj, n)
     assert info.value.limit == nodes - 1
 
 
@@ -176,6 +179,7 @@ def test_validate_deep_boolean_algebra():
     # bool8's one block has 256 elements: a clique search that recursed
     # once per element would need more frames than the lowered limit leaves
     A = boolean_algebra(8)
+    maximal_cliques.cache_clear()
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 150)
     try:

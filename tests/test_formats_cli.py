@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from pbalg.core import boolean_algebra, is_isomorphic, validate
+from pbalg.core import boolean_algebra, is_isomorphic, maximal_cliques, validate
 from pbalg.corpus import mo2_algebra
 from pbalg.data import corpus_names, corpus_path
 from pbalg.errors import FormatError
@@ -328,6 +328,9 @@ def test_reflect_respects_max_carrier():
 def test_validate_verb_on_deep_boolean_algebra(tmp_path):
     path = tmp_path / "bool8.pba"
     path.write_text(serialize_algebra(boolean_algebra(8)))
+    # the parsed carrier equals boolean_algebra(8), so a cached clique list
+    # from an earlier test would skip the search this test is about
+    maximal_cliques.cache_clear()
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 150)
     try:
