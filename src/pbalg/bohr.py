@@ -19,23 +19,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError, PbalgError, SearchCutoffError, StructuralError
-from .core import PartialBooleanAlgebra, PbaMorphism, atoms_of_subalgebra
+from .core import PartialBooleanAlgebra, PbaMorphism, _bits, atoms_of_subalgebra
 from .poset import SubalgebraPoset, boolean_subalgebras
 
 # A frame element is one int: a bit per (member, spectrum point), each
 # member's points in a contiguous field.
 FrameElement = int
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of a mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class BohrFrame:
@@ -66,12 +58,17 @@ class BohrFrame:
         for i, pts in enumerate(self.spectra):
             for p in pts:
                 self.bit[i, p] = len(self.bit)
-        # up[b]: bit b and every point of a larger member restricting to it;
-        # transitively closed already, because restrictions compose
-        self.up = [1 << b for b in range(len(self.bit))]
+        self.up = self._up_rows()
+
+    def _up_rows(self) -> list[int]:
+        """up[b]: bit b and every point of a larger member restricting to it;
+        transitively closed when restrictions compose, which
+        ``check_frame_laws`` certifies."""
+        up = [1 << b for b in range(len(self.bit))]
         for (i, j), rho in self.restrictions.items():
             for q, p in rho.items():
-                self.up[self.bit[i, p]] |= 1 << self.bit[j, q]
+                up[self.bit[i, p]] |= 1 << self.bit[j, q]
+        return up
 
     # -- element structure ---------------------------------------------------
 
@@ -116,12 +113,6 @@ class BohrFrame:
 
     def join(self, F: FrameElement, G: FrameElement) -> FrameElement:
         return F | G
-
-    def join_all(self, fams: Sequence[FrameElement]) -> FrameElement:
-        acc = self.bottom()
-        for f in fams:
-            acc = self.join(acc, f)
-        return acc
 
     def principal(self, member_index: int, points: frozenset[int]) -> FrameElement:
         """Least admissible family whose open at the given member contains
@@ -176,33 +167,33 @@ class BohrFrame:
         return tuple(sorted(out))
 
     def check_frame_laws(self, elements: Sequence[FrameElement]) -> None:
-        """Bounded-lattice and distributivity laws of the finite frame: meets
-        distribute over arbitrary joins of the enumerated elements."""
-        elems = list(elements)
-        top, bot = self.top(), self.bottom()
-        for F in elems:
-            if not self.admissible(F):
-                raise PbalgError("enumerated family is not admissible")
-            if self.meet(F, top) != F or self.join(F, bot) != F:
-                raise PbalgError("top and bottom are not lattice units")
-        for F, G in itertools.combinations(elems, 2):
-            if not (self.admissible(self.meet(F, G))
-                    and self.admissible(self.join(F, G))):
-                raise PbalgError("frame not closed under meet/join")
-        for F in elems:
-            for G, H in itertools.combinations(elems, 2):
-                lhs = self.meet(F, self.join(G, H))
-                rhs = self.join(self.meet(F, G), self.meet(F, H))
-                if lhs != rhs:
-                    raise PbalgError("finite distributivity fails")
-        # meet against the join of every enumerated subset of size three
-        for combo in itertools.combinations(elems, 3):
-            big = self.join_all(combo)
-            for F in elems[: min(len(elems), 8)]:
-                lhs = self.meet(F, big)
-                rhs = self.join_all([self.meet(F, G) for G in combo])
-                if lhs != rhs:
-                    raise PbalgError("distributivity over wider joins fails")
+        """Certify that ``elements`` lists exactly the frame.  The admissible
+        masks are the up-sets of the preorder ``up``, so by Birkhoff's
+        theorem they form a finite distributive lattice under ``&`` and
+        ``|``, and the lattice laws need no element-wise check.  Certified
+        here: ``up`` is reflexive, transitive and its recomputation from the
+        restrictions; no element is listed twice; every element is
+        admissible; 0 is listed, and so is ``F | up[b]`` for every listed
+        ``F`` and bit ``b``.  Every up-set is a union of ``up`` rows, so the
+        last condition forces every one of them into the list."""
+        up = self.up
+        for b, row in enumerate(up):
+            if not row >> b & 1:
+                raise PbalgError("up-set table is not reflexive")
+            if any(up[c] & ~row for c in _bits(row)):
+                raise PbalgError("up-set table is not transitive: "
+                                 "restrictions do not compose")
+        if up != self._up_rows():
+            raise PbalgError("up-set table differs from its recomputation "
+                             "from the restrictions")
+        listed = set(elements)
+        if len(listed) != len(elements):
+            raise PbalgError("a frame element is listed twice")
+        if not all(self.admissible(F) for F in elements):
+            raise PbalgError("enumerated family is not admissible")
+        if 0 not in listed or any(F | row not in listed
+                                  for F in listed for row in up):
+            raise PbalgError("enumeration misses an up-set of the frame")
 
 
 # ---------------------------------------------------------------------------

@@ -82,8 +82,12 @@ def test_up_table_is_transitively_closed():
                     assert fr.up[c] & ~up == 0
 
 
-NEGATIVE = pytest.param(lambda fr: -1, id="negative")
-TOO_WIDE = pytest.param(lambda fr: fr.top() + 1, id="too-wide")
+def negative(fr):
+    return -1
+
+
+def too_wide(fr):
+    return fr.top() + 1
 
 
 def least_point_only(fr):
@@ -92,7 +96,8 @@ def least_point_only(fr):
 
 
 @pytest.mark.parametrize("make", [
-    NEGATIVE, TOO_WIDE, pytest.param(lambda fr: (frozenset(),), id="tuple")])
+    pytest.param(negative, id="negative"), pytest.param(too_wide, id="too-wide"),
+    pytest.param(lambda fr: (frozenset(),), id="tuple")])
 def test_check_shape_rejects_non_masks(mo2_frame, make):
     with pytest.raises(DomainError):
         mo2_frame.check_shape(make(mo2_frame))
@@ -112,12 +117,55 @@ def test_lookups_outside_the_spectra_raise_domain_error(mo2_frame, lookup):
         lookup(mo2_frame)
 
 
-@pytest.mark.parametrize("make", [
-    NEGATIVE, TOO_WIDE, pytest.param(least_point_only, id="inadmissible")])
-def test_frame_laws_reject_bad_family_with_library_error(mo2_frame, make):
+def least_and_block_bits(fr):
+    # mo2's least member has one point, below every point of the two blocks
+    least = next(i for i, m in enumerate(fr.poset.members) if len(m) == 2)
+    block = next(i for i, m in enumerate(fr.poset.members) if len(m) == 4)
+    return fr.bit[least, fr.spectra[least][0]], fr.bit[block, fr.spectra[block][0]]
+
+
+def up_without_own_bit(fr):
+    _, c = least_and_block_bits(fr)
+    fr.up[c] &= ~(1 << c)
+
+
+def up_without_restriction_bit(fr):
+    b, c = least_and_block_bits(fr)
+    fr.up[b] &= ~(1 << c)
+
+
+def up_with_intransitive_bit(fr):
+    b, c = least_and_block_bits(fr)
+    fr.up[c] |= 1 << b
+
+
+@pytest.mark.parametrize("make, corrupt, match", [
+    pytest.param(lambda fr: [fr.bottom(), negative(fr)], None, "not a mask",
+                 id="negative"),
+    pytest.param(lambda fr: [fr.bottom(), too_wide(fr)], None, "not a mask",
+                 id="too-wide"),
+    pytest.param(lambda fr: [fr.bottom(), least_point_only(fr)], None,
+                 "not admissible", id="inadmissible"),
+    pytest.param(lambda fr: fr.elements()[:-1], None, "misses an up-set",
+                 id="dropped-element"),
+    pytest.param(lambda fr: fr.elements()[1:], None, "misses an up-set",
+                 id="dropped-bottom"),
+    pytest.param(lambda fr: fr.elements() + fr.elements()[-1:], None,
+                 "listed twice", id="duplicated-element"),
+    pytest.param(BohrFrame.elements, up_without_own_bit, "not reflexive",
+                 id="up-without-own-bit"),
+    pytest.param(BohrFrame.elements, up_without_restriction_bit,
+                 "recomputation", id="up-without-restriction-bit"),
+    pytest.param(BohrFrame.elements, up_with_intransitive_bit, "not transitive",
+                 id="up-with-intransitive-bit")])
+def test_frame_laws_reject_bad_family_with_library_error(mo2, make, corrupt, match):
     # raised, not asserted, so the certificate also holds under python -O
-    with pytest.raises(PbalgError):
-        mo2_frame.check_frame_laws([mo2_frame.bottom(), make(mo2_frame)])
+    fr = BohrFrame(mo2)
+    elements = make(fr)
+    if corrupt is not None:
+        corrupt(fr)
+    with pytest.raises(PbalgError, match=match):
+        fr.check_frame_laws(elements)
 
 
 def test_seventeen_by_casework(mo2_frame):

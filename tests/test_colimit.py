@@ -8,6 +8,7 @@ import itertools
 import pytest
 
 from helpers import cocone_legs_by_product
+from pbalg import colimit
 from pbalg.core import (
     PbaMorphism,
     boolean_algebra,
@@ -153,6 +154,28 @@ def test_verify_paper_algebra(mo2):
 def test_verify_uses_filtered_enumeration_where_feasible(mo2):
     rep = verify_colimit(mo2)
     assert all(e.uniqueness_route == "filtered-enumeration" for e in rep.entries)
+
+
+def test_verify_constrained_route_without_enumeration_budget(mo2):
+    rep = verify_colimit(mo2, full_enumeration_budget=0)
+    assert rep.ok
+    assert all(e.uniqueness_route == "constrained-search" for e in rep.entries)
+    assert rep.cocones_checked == verify_colimit(mo2).cocones_checked
+
+
+def test_verify_filtered_cross_check_can_fail(mo2, monkeypatch):
+    # the full enumeration out of mo2 loses its first state: of the four
+    # cocones into bool1, the one that state restricts to is not unique
+    real = colimit.enumerate_morphisms
+
+    def lossy(dom, cod, **kw):
+        homs = real(dom, cod, **kw)
+        return homs[1:] if dom is mo2 and kw.get("prescribed") is None else homs
+
+    monkeypatch.setattr(colimit, "enumerate_morphisms", lossy)
+    rep = verify_colimit(mo2, targets=[boolean_algebra(1)])
+    assert rep.cocones_checked == 4 and not rep.ok
+    assert sum(not e.unique for e in rep.entries) == 1
 
 
 def test_verify_rejects_large_apex(mo2):
