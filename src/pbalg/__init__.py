@@ -64,7 +64,6 @@ from .colimit import (
     verify_colimit,
 )
 from .stone import (
-    CompatibleFamily,
     Reflection,
     StoneSpace,
     boolean_reflection,

@@ -320,9 +320,9 @@ def frame_nontrivial_without_states(A: PartialBooleanAlgebra) -> bool:
     one-dimensional one is empty: true iff no two-valued state exists while
     the Bohrification frame has at least three distinct elements (bottom,
     top, and a principal family)."""
-    from .stone import stone_limit
+    from .stone import is_kochen_specker
 
-    if len(stone_limit(A, max_solutions=1)) > 0:
+    if not is_kochen_specker(A):
         return False
     frame = BohrFrame(A)
     candidates = [frame.bottom(), frame.top()]

@@ -220,14 +220,14 @@ def _do_spectrum(args, report: Report) -> None:
 
 def _do_ks_search(args, report: Report) -> None:
     A = _load_algebra(args.input[0])
-    families = stone_limit(A)
+    points = stone_limit(A)
     report.results = {
         "elements": A.n,
-        "limit_points": len(families),
-        "is_kochen_specker": len(families) == 0,
+        "limit_points": len(points),
+        "is_kochen_specker": len(points) == 0,
         "valuations": [
-            [A.labels[a] for a in range(A.n) if fam.valuation[a] == 1]
-            for fam in families[:args.max_listed]],
+            [A.labels[a] for a in range(A.n) if v[a] == 1]
+            for v in points[:args.max_listed]],
     }
     return None
 

@@ -888,14 +888,6 @@ def join_all(A: PartialBooleanAlgebra, S: Iterable[int]) -> int:
     return acc
 
 
-def meet_all(A: PartialBooleanAlgebra, S: Iterable[int]) -> int:
-    S = _require_pairwise_comm(A, S)
-    acc = A.one
-    for a in S:
-        acc = A.meet_of(acc, a)
-    return acc
-
-
 def atoms_of_subalgebra(A: PartialBooleanAlgebra, S: frozenset[int]) -> list[int]:
     """Minimal nonzero elements of a totally commeasurable subalgebra."""
     nonzero = [a for a in sorted(S) if a != A.zero]
@@ -1004,20 +996,11 @@ def enumerate_morphisms(
     A: PartialBooleanAlgebra,
     B: PartialBooleanAlgebra,
     max_nodes: int = 5_000_000,
-    prescribed: dict[int, int] | None = None,
 ) -> list[PbaMorphism]:
     """Complete duplicate-free list of morphisms A -> B in lexicographic
     order on the underlying map.  Backtracking with constraint propagation;
-    raises SearchCutoffError('search too large') past the node budget.
-
-    ``prescribed`` pins chosen elements to fixed images; the search then
-    exhausts exactly the morphisms extending that partial map (used for
-    uniqueness checks against cocone equations)."""
+    raises SearchCutoffError('search too large') past the node budget."""
     n, m = A.n, B.n
-    pinned = prescribed or {}
-    for a, z in pinned.items():
-        if not (0 <= a < n and 0 <= z < m):
-            raise DomainError(f"prescribed image {a} -> {z} out of range")
 
     # Candidate masks over B.  Each table, indexed by images already chosen,
     # gives the set of z that pass morphism clauses against them.
@@ -1075,8 +1058,7 @@ def enumerate_morphisms(
     image: list[int | None] = []
     for k in range(n):
         mask, forced = full, False
-        for fixed, value in ((k in pinned, pinned.get(k)),
-                             (k == A.zero, B.zero), (k == A.one, B.one)):
+        for fixed, value in ((k == A.zero, B.zero), (k == A.one, B.one)):
             if fixed:
                 mask &= 1 << value
                 forced = True

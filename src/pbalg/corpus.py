@@ -34,8 +34,9 @@ CABELLO_RAYS: tuple[tuple[int, int, int, int], ...] = (
     (1, 0, 0, -1), (1, 0, 0, 1), (0, 1, -1, 0),
 )
 
-# the 24-ray set in dimension 4; its bases overlap in up to two rays, so it
-# does not induce a Greechie-style block hypergraph (kept as ray-file data)
+# the 24-ray Peres set in dimension 4; its bases overlap in up to two rays,
+# so it is no Greechie-style block hypergraph, but as contexts it closes to
+# a 140-element Kochen-Specker carrier (kept as ray-file data)
 PERES_RAYS: tuple[tuple[int, int, int, int], ...] = (
     (2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2),
     (1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1),

@@ -33,7 +33,6 @@ from .errors import (
 from .core import (
     PartialBooleanAlgebra,
     bron_kerbosch,
-    block_hypergraph,
     make_pba,
     maximal_cliques,
     validate,
@@ -650,9 +649,9 @@ def star_morphism_defect(f: Callable[[np.ndarray], np.ndarray],
 
 @dataclass(eq=False)
 class RayAlgebra:
-    """Result of ingesting a ray set: the induced block hypergraph (maximal
-    orthogonal bases found among the rays) and the partial Boolean algebra
-    generated by the rank-1 projections."""
+    """Result of ingesting a ray set: the contexts (complete orthogonal
+    bases found among the rays) and the partial Boolean algebra generated
+    by the rank-1 projections."""
 
     algebra: PartialBooleanAlgebra
     projections: list[np.ndarray]
@@ -667,8 +666,9 @@ def rays_to_pba(rays: Sequence[Sequence[complex]], dim: int,
     """Build the partial Boolean algebra generated by the rank-1 projections
     of a ray set.
 
-    Blocks are the maximal mutually orthogonal dim-sized subsets; at least
-    one complete basis must occur.  The carrier is the closure of the ray
+    Blocks are the contexts, the mutually orthogonal dim-sized subsets, in
+    ascending order; two may share any number of rays.  At least one
+    complete basis must occur.  The carrier is the closure of the ray
     projections under complement and commuting meet/join: for ray sets whose
     orthogonality lives entirely inside blocks this is exactly the pasted
     block algebra, and for Kochen-Specker sets (where pairwise orthogonal
@@ -711,7 +711,6 @@ def rays_to_pba(rays: Sequence[Sequence[complex]], dim: int,
     missing = [lab for lab in labels if lab not in covered]
     if missing:
         raise DomainError(f"rays {missing} lie in no complete basis")
-    hypergraph = block_hypergraph(sorted(blocks, key=sorted))
 
     projections = [np.outer(v, v.conj()) for v in vecs]
     pool = _projection_closure(projections, dim, tol, max_projections)
@@ -732,7 +731,8 @@ def rays_to_pba(rays: Sequence[Sequence[complex]], dim: int,
         n=A.n, zero=A.zero, one=A.one, neg=A.neg, comm=A.comm,
         meet=A.meet, join=A.join, labels=tuple(relabel))
     return RayAlgebra(algebra=A, projections=mats,
-                      blocks=hypergraph.blocks, ray_elements=ray_elements)
+                      blocks=tuple(sorted(blocks, key=sorted)),
+                      ray_elements=ray_elements)
 
 
 def amplify(a, k: int) -> np.ndarray:

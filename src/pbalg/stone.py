@@ -1,6 +1,6 @@
 """Finite Stone duality over the subalgebra diagram: spectra of Boolean
-members, the limit of spectra (compatible point families, equivalently
-two-valued morphisms), the Boolean reflection with its unit, and
+members, the limit of spectra (compatible point families, each determined
+by its two-valued valuation), the Boolean reflection with its unit, and
 Kochen-Specker detection.
 
 The limit is computed by constraint propagation over blocks (one true atom
@@ -77,46 +77,19 @@ def restriction_map(A: PartialBooleanAlgebra, C: frozenset[int],
 # The limit of spectra
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CompatibleFamily:
-    """A choice of one spectrum point per member, compatible under the
-    restriction maps.  ``valuation`` is the induced two-valued map on the
-    whole carrier."""
-
-    choice: tuple[tuple[frozenset[int], int], ...]
-    valuation: tuple[int, ...]
-
-    def point_at(self, member: frozenset[int]) -> int:
-        for m, p in self.choice:
-            if m == member:
-                return p
-        raise DomainError("no choice recorded for that member")
-
-
-def _family_from_valuation(member_atoms: list[tuple[frozenset[int], list[int]]],
-                           v: tuple[int, ...]) -> CompatibleFamily:
-    choice = []
-    for member, atoms in member_atoms:
-        true_atoms = [p for p in atoms if v[p] == 1]
-        if len(true_atoms) != 1:
-            raise DomainError("valuation is not a point on some member")
-        choice.append((member, true_atoms[0]))
-    return CompatibleFamily(choice=tuple(choice), valuation=v)
-
-
 def stone_limit(A: PartialBooleanAlgebra,
-                P: SubalgebraPoset | None = None,
                 max_solutions: int | None = None,
-                max_nodes: int = 5_000_000) -> tuple[CompatibleFamily, ...]:
-    """All compatible families of spectrum points over the member poset,
-    canonically ordered by valuation.
+                max_nodes: int = 5_000_000) -> tuple[tuple[int, ...], ...]:
+    """All points of the limit of spectra, each as its two-valued valuation
+    (one 0/1 entry per element), in ascending order.  The point at a member
+    is the member's atom valued 1.
 
     Search runs per block: each maximal Boolean block makes exactly one of
     its atoms true, consistently on shared elements.  Forced blocks are
     assigned by unit propagation, and the search branches on the block with
     the fewest possible atoms.  Every visited state is a node; past
     ``max_nodes`` it raises SearchCutoffError.  With ``max_solutions`` it
-    stops after that many families (which ones then depends on the search
+    stops after that many points (which ones then depends on the search
     order), so ``max_solutions=1`` decides emptiness.
     """
     # per block, one (pos, off) pair per atom: the block elements that atom
@@ -171,11 +144,8 @@ def stone_limit(A: PartialBooleanAlgebra,
             b, live = branch
             stack.extend((T | pos, F | off, todo ^ (1 << b))
                          for pos, off in reversed(live))
-    # a degenerate carrier (0 = 1) has blocks without atoms, hence no family
-    P = P or boolean_subalgebras(A)
-    valuations = sorted(tuple((T >> x) & 1 for x in range(A.n)) for T in solutions)
-    member_atoms = [(m, atoms_of_subalgebra(A, m)) for m in P.members] if valuations else []
-    return tuple(_family_from_valuation(member_atoms, v) for v in valuations)
+    # a degenerate carrier (0 = 1) has blocks without atoms, hence no point
+    return tuple(sorted(tuple((T >> x) & 1 for x in range(A.n)) for T in solutions))
 
 
 def stone_limit_poset_oracle(A: PartialBooleanAlgebra,
@@ -221,23 +191,22 @@ def stone_limit_poset_oracle(A: PartialBooleanAlgebra,
 
 
 def two_valued_morphisms(A: PartialBooleanAlgebra) -> list[PbaMorphism]:
-    """Morphisms into the initial algebra, read off the limit families."""
+    """Morphisms into the initial algebra: the limit points' valuations."""
     two = boolean_algebra(1)
-    return [PbaMorphism(A, two, fam.valuation) for fam in stone_limit(A)]
+    return [PbaMorphism(A, two, v) for v in stone_limit(A)]
 
 
 def limit_action(f: PbaMorphism) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Contravariant action on limits: a morphism f: A -> B turns each
-    family over B into one over A by composing valuations.  Keys and values
+    point over B into one over A by composing valuations.  Keys and values
     are valuations."""
-    fams_b = stone_limit(f.cod)
-    fams_a = {fam.valuation: fam for fam in stone_limit(f.dom)}
+    points_a = set(stone_limit(f.dom))
     out = {}
-    for fam in fams_b:
-        pulled = tuple(fam.valuation[f.map[a]] for a in range(f.dom.n))
-        if pulled not in fams_a:
+    for v in stone_limit(f.cod):
+        pulled = tuple(v[f.map[a]] for a in range(f.dom.n))
+        if pulled not in points_a:
             raise DomainError("pullback of a two-valued state is not a state")
-        out[fam.valuation] = pulled
+        out[v] = pulled
     return out
 
 
@@ -252,7 +221,7 @@ class Reflection:
 
     reflection: PartialBooleanAlgebra
     eta: PbaMorphism
-    families: tuple[CompatibleFamily, ...]
+    families: tuple[tuple[int, ...], ...]  # the limit points' valuations
 
 
 def boolean_reflection(A: PartialBooleanAlgebra, max_carrier: int = 5000) -> Reflection:
@@ -271,9 +240,8 @@ def boolean_reflection(A: PartialBooleanAlgebra, max_carrier: int = 5000) -> Ref
     values = []
     for a in range(A.n):
         mask = 0
-        for i, fam in enumerate(families):
-            if fam.valuation[a] == 1:
-                mask |= 1 << i
+        for i, v in enumerate(families):
+            mask |= v[a] << i
         values.append(mask)
     eta = PbaMorphism(A, L, tuple(values))
     chk = check_morphism(eta)

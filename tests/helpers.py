@@ -1,7 +1,8 @@
 """Shared machinery for the test suite: vectorized exhaustive checks for the
 tensor factorization criterion, a pairwise morphism-clause walk, a
-brute-force isomorphism oracle with a carrier relabelling to feed it, and
-product-and-filter oracles for cocones and maximal cliques."""
+brute-force isomorphism oracle with a carrier relabelling to feed it,
+product-and-filter oracles for cocones and maximal cliques, and the point
+family a two-valued state induces on the member poset."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from pbalg.core import (
     MorphismCheck,
     PartialBooleanAlgebra,
     PbaMorphism,
+    atoms_of_subalgebra,
     enumerate_morphisms,
     sub_algebra,
 )
@@ -284,3 +286,20 @@ def maximal_cliques_by_subsets(adj: list[int], n: int) -> list[int]:
                and not any(is_clique(mask | 1 << v) for v in range(n)
                            if not mask >> v & 1)]
     return sorted(cliques, key=lambda m: (m.bit_count(), m))
+
+
+# ---------------------------------------------------------------------------
+# a limit point as a family of spectrum points
+# ---------------------------------------------------------------------------
+
+def point_family(P: SubalgebraPoset, valuation: tuple[int, ...]
+                 ) -> dict[frozenset[int], int]:
+    """The spectrum point a two-valued valuation picks at each member of P:
+    the member's one atom valued 1 (asserted to be exactly one)."""
+    family = {}
+    for member in P.members:
+        true_atoms = [p for p in atoms_of_subalgebra(P.algebra, member)
+                      if valuation[p] == 1]
+        assert len(true_atoms) == 1, f"{len(true_atoms)} true atoms at {sorted(member)}"
+        family[member] = true_atoms[0]
+    return family

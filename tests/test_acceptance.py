@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import tensor_iff_exhaustive
+from helpers import point_family, tensor_iff_exhaustive
 
 from pbalg.core import (
     boolean_algebra,
@@ -128,21 +128,22 @@ def test_criterion_03_counterexample_map():
 def test_criterion_04_stone_extension():
     for k in (0, 1, 2, 3, 4):
         A = boolean_algebra(k)
-        families = stone_limit(A)
+        valuations = stone_limit(A)
         points = stone_spectrum(A, frozenset(A.elements())).points if k else ()
         if k == 0:
-            assert families == ()
+            assert valuations == ()
             continue
-        assert len(families) == len(points) == k
+        assert len(valuations) == len(points) == k
         top = frozenset(A.elements())
-        # bijection compatible with evaluation: the family at atom p values
-        # x at 1 exactly when p lies below x
+        P = boolean_subalgebras(A)
+        # bijection compatible with evaluation: the limit point at atom p
+        # values x at 1 exactly when p lies below x
         seen = set()
-        for fam in families:
-            p = fam.point_at(top)
+        for v in valuations:
+            p = point_family(P, v)[top]
             seen.add(p)
             for x in A.elements():
-                assert fam.valuation[x] == (1 if A.meet[p][x] == p else 0)
+                assert v[x] == (1 if A.meet[p][x] == p else 0)
         assert seen == set(points)
     _announce(4, "stone-extension", "limit = spectrum up to 2^4, exact")
 

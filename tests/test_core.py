@@ -480,22 +480,6 @@ def test_enumerate_morphisms_budget_is_exact(dom, cod, nodes, homs):
         enumerate_morphisms(A, B, max_nodes=nodes - 1)
 
 
-@pytest.mark.parametrize("dom, cod, pins, maps", [
-    pytest.param(2, 1, {2: 1, 4: 1}, [(0, 1, 1, 0, 1, 0)], id="mo2-bool1"),
-    pytest.param(3, 2, {3: 3, 5: 1},
-                 [(0, 3, 0, 3, 2, 1, k, 3 - k) for k in range(4)], id="mo3-bool2"),
-])
-def test_enumerate_morphisms_prescribed(dom, cod, pins, maps):
-    A = from_orthomodular(mo_lattice(dom))
-    pinned = enumerate_morphisms(A, boolean_algebra(cod), prescribed=pins)
-    assert [f.map for f in pinned] == maps
-
-
-def test_enumerate_morphisms_rejects_out_of_range_pins(mo2):
-    with pytest.raises(DomainError):
-        enumerate_morphisms(mo2, boolean_algebra(1), prescribed={2: 5})
-
-
 # ---------------------------------------------------------------------------
 # image factorization
 # ---------------------------------------------------------------------------

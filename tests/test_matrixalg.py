@@ -19,7 +19,6 @@ from pbalg.errors import (
     AmbiguousSpectrumError,
     CoconeError,
     DomainError,
-    StructuralError,
 )
 from pbalg.matrixalg import (
     MatrixSeed,
@@ -39,6 +38,7 @@ from pbalg.matrixalg import (
     star_morphism_defect,
     support_projection,
 )
+from pbalg.stone import is_kochen_specker
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -380,11 +380,13 @@ def test_rays_without_complete_basis_rejected():
         rays_to_pba([[1, 0], [1, 1]], 2)
 
 
-def test_peres_rays_are_not_greechie():
-    # bases of the 24-ray set overlap in two rays, which the block
-    # hypergraph invariants reject
-    with pytest.raises(StructuralError, match="more than one"):
-        rays_to_pba(list(PERES_RAYS), 4)
+def test_peres_rays_are_kochen_specker():
+    # bases of the 24-ray set overlap in two rays; as contexts they need no
+    # Greechie condition, and the closure has no two-valued state
+    ra = rays_to_pba(list(PERES_RAYS), 4)
+    assert ra.algebra.n == 140
+    assert len(ra.blocks) == 24
+    assert is_kochen_specker(ra.algebra)
 
 
 def test_parallel_rays_deduplicated():

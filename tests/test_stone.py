@@ -8,6 +8,9 @@ import sys
 
 import pytest
 
+from helpers import point_family
+
+from pbalg import stone
 from pbalg.core import (
     PbaMorphism,
     block_hypergraph,
@@ -16,12 +19,18 @@ from pbalg.core import (
     compose,
     enumerate_morphisms,
     from_orthomodular,
+    identity_morphism,
     is_isomorphic,
     mo_lattice,
     paste_blocks,
     trivial_algebra,
 )
-from pbalg.corpus import chain_of_triangles, generated_corpus, small_corpus
+from pbalg.corpus import (
+    cabello18_algebra,
+    chain_of_triangles,
+    generated_corpus,
+    small_corpus,
+)
 from pbalg.errors import DomainError, SearchCutoffError
 from pbalg.poset import boolean_subalgebras
 from pbalg.stone import (
@@ -44,7 +53,6 @@ def mo2():
 
 @pytest.fixture(scope="module")
 def ks18():
-    from pbalg.corpus import cabello18_algebra
     return cabello18_algebra()
 
 
@@ -103,23 +111,22 @@ def test_restriction_functorial():
 def test_limit_of_boolean_is_spectrum():
     for k in (1, 2, 3, 4):
         A = boolean_algebra(k)
-        fams = stone_limit(A)
+        valuations = stone_limit(A)
         points = stone_spectrum(A, frozenset(range(A.n))).points
-        assert len(fams) == len(points) == k
-        # the family choice at the top member is exactly its atom, and the
+        assert len(valuations) == len(points) == k
+        # the point at the top member is exactly its atom, and the
         # valuation agrees with atom evaluation
         top = frozenset(range(A.n))
-        chosen = {fam.point_at(top) for fam in fams}
-        assert chosen == set(points)
-        for fam in fams:
-            p = fam.point_at(top)
-            assert all(fam.valuation[x] == (1 if A.meet[p][x] == p else 0)
+        P = boolean_subalgebras(A)
+        chosen = [point_family(P, v)[top] for v in valuations]
+        assert set(chosen) == set(points)
+        for v, p in zip(valuations, chosen):
+            assert all(v[x] == (1 if A.meet[p][x] == p else 0)
                        for x in A.elements())
 
 
 def test_limit_of_paper_algebra_has_four_points(mo2):
-    fams = stone_limit(mo2)
-    assert len(fams) == 4
+    assert len(stone_limit(mo2)) == 4
 
 
 def test_limit_matches_two_valued_morphisms(mo2, ks18):
@@ -127,9 +134,8 @@ def test_limit_matches_two_valued_morphisms(mo2, ks18):
                 paste_blocks(block_hypergraph([["a", "b", "c"], ["c", "d", "e"]])),
                 *small_corpus(), *generated_corpus(50, 24), ks18]
     for A in carriers:
-        fams = stone_limit(A)
         homs = enumerate_morphisms(A, boolean_algebra(1))
-        assert sorted(f.valuation for f in fams) == sorted(h.map for h in homs)
+        assert list(stone_limit(A)) == sorted(h.map for h in homs)
         wrapped = two_valued_morphisms(A)
         assert all(check_morphism(w).ok for w in wrapped)
         assert sorted(w.map for w in wrapped) == sorted(h.map for h in homs)
@@ -138,25 +144,25 @@ def test_limit_matches_two_valued_morphisms(mo2, ks18):
 def test_limit_matches_poset_oracle(mo2):
     for A in [mo2, boolean_algebra(3),
               paste_blocks(block_hypergraph([["a", "b", "c"], ["c", "d", "e"]]))]:
-        fams = stone_limit(A)
+        valuations = stone_limit(A)
         oracle = stone_limit_poset_oracle(A)
-        assert len(fams) == len(oracle)
-        as_sets = {fam.choice for fam in fams}
-        oracle_sets = {tuple(sorted(ch, key=lambda kv: tuple(sorted(kv[0]))))
-                       for ch in oracle}
-        normalized = {tuple(sorted(ch, key=lambda kv: tuple(sorted(kv[0]))))
-                      for ch in as_sets}
-        assert normalized == oracle_sets
+        assert len(valuations) == len(oracle)
+        P = boolean_subalgebras(A)
+        families = {tuple(sorted(point_family(P, v).items(),
+                                 key=lambda kv: tuple(sorted(kv[0]))))
+                    for v in valuations}
+        assert families == set(oracle)
 
 
 def test_limit_families_are_restriction_compatible(mo2):
     P = boolean_subalgebras(mo2)
-    for fam in stone_limit(mo2):
+    for v in stone_limit(mo2):
+        family = point_family(P, v)
         for s in P.members:
             for t in P.members:
                 if s < t:
                     rho = restriction_map(mo2, s, t)
-                    assert rho[fam.point_at(t)] == fam.point_at(s)
+                    assert rho[family[t]] == family[s]
 
 
 def test_limit_of_terminal_is_empty():
@@ -182,11 +188,11 @@ def test_stone_limit_deep_chain():
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 150)
     try:
-        fams = stone_limit(A, max_solutions=1)
+        valuations = stone_limit(A, max_solutions=1)
     finally:
         sys.setrecursionlimit(old)
-    assert len(fams) == 1
-    assert check_morphism(PbaMorphism(A, boolean_algebra(1), fams[0].valuation)).ok
+    assert len(valuations) == 1
+    assert check_morphism(PbaMorphism(A, boolean_algebra(1), valuations[0])).ok
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +249,25 @@ def test_cabello_algebra_is_kochen_specker(ks18):
     assert stone_limit(ks18) == ()
 
 
+def test_verdicts_need_no_member_poset(mo2, ks18, monkeypatch):
+    # the limit is read off the blocks alone: with the member poset
+    # unavailable, every limit-derived answer is unchanged
+    def results(A):
+        refl = boolean_reflection(A)
+        return (stone_limit(A), is_kochen_specker(A),
+                (refl.reflection.n, refl.eta.map, refl.families),
+                [f.map for f in two_valued_morphisms(A)],
+                limit_action(identity_morphism(A)))
+
+    expected = [results(A) for A in (mo2, ks18)]
+
+    def unavailable(A, *args, **kwargs):
+        raise AssertionError("member poset built for a limit verdict")
+
+    monkeypatch.setattr(stone, "boolean_subalgebras", unavailable)
+    assert [results(A) for A in (mo2, ks18)] == expected
+
+
 def test_terminal_is_kochen_specker_degenerate():
     # the one-element carrier has no two-valued states either
     assert is_kochen_specker(trivial_algebra())
@@ -260,7 +285,6 @@ def test_coproduct_ideal(mo2, ks18):
 # ---------------------------------------------------------------------------
 
 def test_limit_action_identity(mo2):
-    from pbalg.core import identity_morphism
     act = limit_action(identity_morphism(mo2))
     assert all(k == v for k, v in act.items())
 
