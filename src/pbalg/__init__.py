@@ -32,7 +32,6 @@ from .core import (
     identity_morphism,
     image_factorization,
     inclusion_morphism,
-    initial_algebra,
     is_isomorphic,
     join_all,
     make_pba,

@@ -106,9 +106,6 @@ class PartialBooleanAlgebra:
     def comm_pair(self, a: int, b: int) -> bool:
         return bool((self.comm[a] >> b) & 1)
 
-    def neg_of(self, a: int) -> int:
-        return self.neg[a]
-
     def meet_of(self, a: int, b: int) -> int:
         v = self.meet[a][b]
         if v == UNDEF:
@@ -266,11 +263,6 @@ def boolean_algebra(k: int) -> PartialBooleanAlgebra:
 def trivial_algebra() -> PartialBooleanAlgebra:
     """The terminal algebra: a single element 0 = 1."""
     return boolean_algebra(0)
-
-
-def initial_algebra() -> PartialBooleanAlgebra:
-    """The initial algebra {0, 1} with two distinct elements."""
-    return boolean_algebra(1)
 
 
 # ---------------------------------------------------------------------------

@@ -76,13 +76,6 @@ def cabello18_algebra() -> PartialBooleanAlgebra:
     return rays_to_pba(list(CABELLO_RAYS), 4).algebra
 
 
-def cabello18_blocks() -> tuple[frozenset[str], ...]:
-    """The nine maximal orthogonal bases among the 18 rays."""
-    from .matrixalg import rays_to_pba
-
-    return rays_to_pba(list(CABELLO_RAYS), 4).blocks
-
-
 def chain_of_triangles(k: int) -> PartialBooleanAlgebra:
     """k three-atom blocks pasted in a chain, consecutive blocks sharing one
     atom."""

@@ -9,6 +9,7 @@ identity on its own output.
 
 from __future__ import annotations
 
+import cmath
 import json
 from typing import Sequence
 
@@ -230,7 +231,8 @@ def serialize_blocks(h: BlockHypergraph) -> str:
 
 def parse_rays_text(text: str) -> tuple[int, list[list[complex]]]:
     """Header, a 'dim' line, then one ray per line with dim entries; entries
-    are real or complex literals in Python syntax (e.g. -1, 0.5, 1+2j)."""
+    are finite real or complex literals in Python syntax (e.g. -1, 0.5,
+    1+2j)."""
     lines = list(_content_lines(text))
     if not lines or lines[0][1] != RAYS_HEADER:
         raise FormatError("expected header 'rays 1'",
@@ -253,9 +255,12 @@ def parse_rays_text(text: str) -> tuple[int, list[list[complex]]]:
         if len(toks) != dim:
             raise FormatError(f"ray needs {dim} entries, got {len(toks)}", line=ln)
         try:
-            rays.append([complex(t) for t in toks])
+            ray = [complex(t) for t in toks]
         except ValueError:
             raise FormatError("ray entries must be numeric", line=ln) from None
+        if not all(cmath.isfinite(v) for v in ray):
+            raise FormatError("ray entries must be finite", line=ln)
+        rays.append(ray)
     if not rays:
         raise FormatError("no rays given", line=lines[1][0])
     return dim, rays

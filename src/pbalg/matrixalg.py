@@ -224,13 +224,6 @@ class CommutativeStarSubalgebra:
     def includes(self, other: "CommutativeStarSubalgebra") -> bool:
         return all(self.contains(b) for b in other.basis)
 
-    def coefficients(self, m) -> np.ndarray:
-        """Expansion of a member in the orthonormal basis."""
-        m = _as_matrix(m)
-        if not self.contains(m):
-            raise DomainError("matrix lies outside the subalgebra span")
-        return np.array([_hs_inner(b, m) for b in self.basis])
-
 
 def joint_spectral_projections(C: CommutativeStarSubalgebra) -> list[np.ndarray]:
     """The minimal projections of a commutative subalgebra: pairwise
@@ -347,20 +340,28 @@ def projection_supremum(ps: Sequence[np.ndarray], dim: int | None = None,
 # Projection closures and the bridge to partial Boolean algebras
 # ---------------------------------------------------------------------------
 
-class _ProjectionPool:
-    """Deduplicated projection store: rounded-entry fast path plus a final
-    gap assertion (nearest distinct pair must exceed 10x the tolerance)."""
+# Budget of the projection closure.  The largest closure seen on the bundled
+# corpus and the benchmark workloads has 140 projections (Cabello-18 and
+# Peres-24).
+_CLOSURE_MAX_PROJECTIONS = 4000
 
-    def __init__(self, dim: int, tol: float):
-        self.dim = dim
+
+class _ProjectionPool:
+    """Deduplicated projection store: rounded-entry keys plus a final gap
+    assertion (nearest distinct pair must exceed 10x the tolerance)."""
+
+    def __init__(self, tol: float):
         self.tol = tol
         self.mats: list[np.ndarray] = []
-        self._index: dict[tuple, int] = {}
+        self.keys: list[tuple[float, ...]] = []
+        self._index: dict[tuple[float, ...], int] = {}
 
     @staticmethod
-    def _key(m: np.ndarray) -> tuple:
-        r = np.round(m, 7) + 0.0  # normalize -0.0
-        return tuple(r.ravel().tolist())
+    def _key(m: np.ndarray) -> tuple[float, ...]:
+        """Entries rounded to 7 decimals as interleaved (real, imag) floats:
+        hashable for deduplication and ordered for the canonical sort."""
+        r = np.round(np.asarray(m, dtype=complex), 7) + 0.0  # normalize -0.0
+        return tuple(r.view(np.float64).ravel().tolist())
 
     def add(self, m: np.ndarray) -> int:
         k = self._key(m)
@@ -368,11 +369,9 @@ class _ProjectionPool:
             return self._index[k]
         i = len(self.mats)
         self.mats.append(m)
+        self.keys.append(k)
         self._index[k] = i
         return i
-
-    def find(self, m: np.ndarray) -> int | None:
-        return self._index.get(self._key(m))
 
     def assert_gap(self):
         eps = 10 * self.tol
@@ -384,91 +383,75 @@ class _ProjectionPool:
                     f"deduplication gap {eps:.2e}")
 
 
-def _projection_closure(seeds: Sequence[np.ndarray], dim: int, tol: float,
-                        max_projections: int) -> _ProjectionPool:
-    """Close a projection family under complement and commuting meet/join.
-    The result is operation-closed, so its maximal commuting cliques are
-    Boolean blocks and the induced partial Boolean algebra is valid."""
-    pool = _ProjectionPool(dim, tol)
+def _projection_closure(
+    seeds: Sequence[np.ndarray], dim: int, tol: float,
+    seed_labels: Sequence[str] = (),
+) -> tuple[PartialBooleanAlgebra, list[np.ndarray], list[int]]:
+    """Close a projection family under complement and commuting meet/join
+    and read off the validated partial Boolean algebra.
+
+    A worklist: when projection i's turn comes it is complemented and
+    tested once against each earlier j < i, and each commuting pair records
+    its meet and join as it is multiplied, so every unordered pair is
+    tested and multiplied exactly once.  The closure is operation-closed,
+    so its maximal commuting cliques are Boolean blocks and the algebra is
+    valid.  Elements are then ordered canonically (0 first, then by rank
+    and rounded entries), which only permutes the recorded tables.
+
+    Returns the algebra, its projections element by element, and the
+    element of each seed.  Elements are labelled 0, 1 and p<i>; the first
+    len(seed_labels) seeds take those labels, and their complements
+    ~<label> where no seed claims them.
+    """
+    pool = _ProjectionPool(tol)
     eye = np.eye(dim, dtype=complex)
     pool.add(np.zeros((dim, dim), dtype=complex))
-    pool.add(eye)
-    for p in seeds:
-        pool.add(_as_matrix(p))
-    changed = True
-    while changed:
-        changed = False
-        count = len(pool.mats)
-        for i in range(count):
-            if pool.add(eye - pool.mats[i]) >= count:
-                changed = True
-        count = len(pool.mats)
-        for i in range(count):
-            p = pool.mats[i]
-            for j in range(i + 1, count):
-                q = pool.mats[j]
-                pq = p @ q
-                if float(np.abs(pq - q @ p).max()) > tol:
-                    continue
-                if pool.add(pq) >= count or pool.add(p + q - pq) >= count:
-                    changed = True
-        if len(pool.mats) > max_projections:
+    one = pool.add(eye)
+    seed_ids = [pool.add(_as_matrix(p)) for p in seeds]
+    comp: list[int] = []  # complement of each pool entry
+    meets: list[tuple[int, int, int]] = []
+    joins: list[tuple[int, int, int]] = []
+    i = 0
+    while i < len(pool.mats):
+        p = pool.mats[i]
+        comp.append(pool.add(eye - p))
+        for j in range(i):
+            q = pool.mats[j]
+            qp = q @ p
+            if float(np.abs(qp - p @ q).max()) > tol:
+                continue
+            meets.append((j, i, pool.add(qp)))
+            joins.append((j, i, pool.add(q + p - qp)))
+        if len(pool.mats) > _CLOSURE_MAX_PROJECTIONS:
             raise SearchCutoffError(
-                f"projection closure exceeded {max_projections} elements",
-                limit=max_projections)
+                f"projection closure exceeded {_CLOSURE_MAX_PROJECTIONS} elements",
+                limit=_CLOSURE_MAX_PROJECTIONS)
+        i += 1
     pool.assert_gap()
-    return pool
 
-
-def _pool_to_pba(pool: _ProjectionPool, labels: list[str] | None,
-                 tol: float) -> tuple[PartialBooleanAlgebra, list[np.ndarray]]:
-    """Order a closed projection pool canonically and read off the partial
-    Boolean algebra (commutation, complement, product meets)."""
-    dim = pool.dim
-    eye = np.eye(dim, dtype=complex)
-
-    def rank_of(m):
-        return int(round(float(np.trace(m).real)))
-
-    def sort_key(m):
-        r = np.round(m, 7) + 0.0
-        return tuple(x for v in r.ravel().tolist() for x in (v.real, v.imag))
-
-    order = sorted(range(len(pool.mats)),
-                   key=lambda i: (rank_of(pool.mats[i]) != 0,
-                                  rank_of(pool.mats[i]),
-                                  sort_key(pool.mats[i])))
-    mats = [pool.mats[i] for i in order]
-    zero = next(i for i, m in enumerate(mats) if rank_of(m) == 0)
-    one = next(i for i, m in enumerate(mats) if operator_norm(m - eye) <= tol)
-    n = len(mats)
-    index = {pool._key(m): i for i, m in enumerate(mats)}
-
-    def idx(m) -> int:
-        k = _ProjectionPool._key(m)
-        if k not in index:
-            raise StructuralError("closure is not operation-closed numerically")
-        return index[k]
-
-    neg = [idx(eye - m) for m in mats]
-    comm_pairs, meets, joins = [], [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            p, q = mats[i], mats[j]
-            pq = p @ q
-            if float(np.abs(pq - q @ p).max()) <= tol:
-                comm_pairs.append((i, j))
-                meets.append((i, j, idx(pq)))
-                joins.append((i, j, idx(p + q - pq)))
-    if labels is None:
-        labels = ["0" if i == zero else "1" if i == one else f"p{i}"
-                  for i in range(n)]
-    A = make_pba(n, zero, one, neg, comm_pairs, meets, joins, labels)
+    n = len(pool.mats)
+    ranks = [int(round(float(np.trace(m).real))) for m in pool.mats]
+    order = sorted(range(n), key=lambda k: (ranks[k] != 0, ranks[k], pool.keys[k]))
+    pos = [0] * n
+    for e, k in enumerate(order):
+        pos[k] = e
+    zero, one = pos[0], pos[one]
+    labels = ["0" if e == zero else "1" if e == one else f"p{e}" for e in range(n)]
+    neg = [pos[comp[k]] for k in order]
+    seed_elements = [pos[k] for k in seed_ids]
+    for lab, e in zip(seed_labels, seed_elements):
+        labels[e] = lab
+        if labels[neg[e]].startswith("p"):
+            labels[neg[e]] = "~" + lab
+    A = make_pba(n, zero, one, neg,
+                 [(pos[j], pos[k]) for j, k, _ in meets],
+                 [(pos[j], pos[k], pos[v]) for j, k, v in meets],
+                 [(pos[j], pos[k], pos[v]) for j, k, v in joins], labels)
     report = validate(A)
     if not report.ok:
         raise InvalidAlgebraError("projection algebra fails validation",
                                   report=report)
-    return A, mats
+    return A, [pool.mats[k] for k in order], seed_elements
 
 
 @dataclass(eq=False)
@@ -479,13 +462,6 @@ class ProjectionAlgebra:
     algebra: PartialBooleanAlgebra
     projections: list[np.ndarray]
     seed: MatrixSeed
-
-    def element_of(self, p) -> int:
-        key = _ProjectionPool._key(_as_matrix(p))
-        for i, m in enumerate(self.projections):
-            if _ProjectionPool._key(m) == key:
-                return i
-        raise DomainError("projection is not in the enumerated carrier")
 
 
 def spectral_projections(a, tol: float = STRUCT_TOL) -> list[np.ndarray]:
@@ -498,16 +474,14 @@ def spectral_projections(a, tol: float = STRUCT_TOL) -> list[np.ndarray]:
     return [V @ V.conj().T for V in spaces]
 
 
-def projection_algebra(seed: MatrixSeed,
-                       max_projections: int = 4000) -> ProjectionAlgebra:
+def projection_algebra(seed: MatrixSeed) -> ProjectionAlgebra:
     """The partial Boolean algebra generated by the seed's spectral
     projections: commutation as commeasurability, complement as negation,
     product as meet on commuting pairs.  Validated before returning."""
     base: list[np.ndarray] = []
     for g in seed.generators:
         base.extend(spectral_projections(g, seed.tol))
-    pool = _projection_closure(base, seed.dim, seed.tol, max_projections)
-    A, mats = _pool_to_pba(pool, None, seed.tol)
+    A, mats, _ = _projection_closure(base, seed.dim, seed.tol)
     return ProjectionAlgebra(algebra=A, projections=mats, seed=seed)
 
 
@@ -660,11 +634,9 @@ class RayAlgebra:
 
 
 def rays_to_pba(rays: Sequence[Sequence[complex]], dim: int,
-                tol: float = STRUCT_TOL,
-                labels: Sequence[str] | None = None,
-                max_projections: int = 4000) -> RayAlgebra:
+                tol: float = STRUCT_TOL) -> RayAlgebra:
     """Build the partial Boolean algebra generated by the rank-1 projections
-    of a ray set.
+    of a ray set; ray i is labelled r<i>.
 
     Blocks are the contexts, the mutually orthogonal dim-sized subsets, in
     ascending order; two may share any number of rays.  At least one
@@ -679,13 +651,16 @@ def rays_to_pba(rays: Sequence[Sequence[complex]], dim: int,
         v = np.asarray(r, dtype=complex).reshape(-1)
         if v.shape != (dim,):
             raise StructuralError(f"ray {i} has length {v.shape[0]}, expected {dim}")
-        norm = float(np.linalg.norm(v))
+        if not np.all(np.isfinite(v)):
+            raise StructuralError(f"ray {i} has non-finite entries")
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(v))
+        if not np.isfinite(norm):
+            raise DomainError(f"ray {i} has a norm too large to represent")
         if norm <= tol:
             raise DomainError(f"ray {i} is numerically zero")
         vecs.append(v / norm)
-    if labels is None:
-        labels = [f"r{i}" for i in range(len(vecs))]
-    labels = list(labels)
+    labels = [f"r{i}" for i in range(len(vecs))]
 
     # deduplicate parallel rays
     keep: list[int] = []
@@ -712,27 +687,11 @@ def rays_to_pba(rays: Sequence[Sequence[complex]], dim: int,
     if missing:
         raise DomainError(f"rays {missing} lie in no complete basis")
 
-    projections = [np.outer(v, v.conj()) for v in vecs]
-    pool = _projection_closure(projections, dim, tol, max_projections)
-    carrier_labels: list[str] | None = None
-    A, mats = _pool_to_pba(pool, carrier_labels, tol)
-
-    index = {_ProjectionPool._key(m): i for i, m in enumerate(mats)}
-    ray_elements = {}
-    relabel = list(A.labels)
-    for lab, p in zip(labels, projections):
-        e = index[_ProjectionPool._key(p)]
-        ray_elements[lab] = e
-        relabel[e] = lab
-        ne = A.neg[e]
-        if relabel[ne].startswith("p"):
-            relabel[ne] = "~" + lab
-    A = PartialBooleanAlgebra(
-        n=A.n, zero=A.zero, one=A.one, neg=A.neg, comm=A.comm,
-        meet=A.meet, join=A.join, labels=tuple(relabel))
+    A, mats, elements = _projection_closure(
+        [np.outer(v, v.conj()) for v in vecs], dim, tol, labels)
     return RayAlgebra(algebra=A, projections=mats,
                       blocks=tuple(sorted(blocks, key=sorted)),
-                      ray_elements=ray_elements)
+                      ray_elements=dict(zip(labels, elements)))
 
 
 def amplify(a, k: int) -> np.ndarray:

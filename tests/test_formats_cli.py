@@ -3,6 +3,7 @@ round-trips, exit codes, byte stability."""
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import json
 import subprocess
@@ -145,6 +146,37 @@ def test_rays_bad_width():
     with pytest.raises(FormatError) as err:
         parse_rays_text("rays 1\ndim 3\n1 0\n")
     assert err.value.line == 3
+
+
+# a non-finite entry is a syntax error (exit 2) on its own line
+NON_FINITE_RAYS = [
+    ("rays 1\ndim 2\n1 0\n0 1\nnan 1\n1 -1\n", 5),
+    ("rays 1\ndim 1\nnan\n", 3),
+    ("rays 1\ndim 2\n1 0\n0 inf\n", 4),
+    ("rays 1\ndim 2\n1 0\n0 1\n1e400 1\n", 5),
+    ("rays 1\ndim 2\n1 0\n0 1\n1+nanj 1\n", 5),
+]
+
+
+@pytest.mark.parametrize("text, line", NON_FINITE_RAYS, ids=[
+    "nan", "dim-1-nan", "inf", "overflowing-literal", "complex-nan"])
+def test_non_finite_ray_entries_exit_two(tmp_path, text, line):
+    with pytest.raises(FormatError, match="finite") as err:
+        parse_rays_text(text)
+    assert err.value.line == line
+    path = tmp_path / "bad.rays"
+    path.write_text(text)
+    code, out = run_cli("ks-rays", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == f"syntax: line {line}: ray entries must be finite"
+
+
+def test_overflowing_ray_norm_fails_cleanly(tmp_path):
+    path = tmp_path / "big.rays"
+    path.write_text("rays 1\ndim 2\n1 0\n0 1\n1e308 1e308\n")
+    code, out = run_cli("ks-rays", str(path))
+    assert code == 1
+    assert json.loads(out)["error"] == "ray 2 has a norm too large to represent"
 
 
 def test_mseed_roundtrip():
@@ -413,6 +445,26 @@ def test_matrix_import_and_proj():
     assert code2 == 0
     A = parse_algebra_text(out2.decode())
     assert is_isomorphic(A, mo2_algebra())
+
+
+# sha256 of the carriers emitted with --format pba: element order, labels
+# and tables of the projection closure are part of the output and must not
+# drift
+PBA_GOLDEN = [
+    ("ks-rays", "cabello18.rays",
+     "377d94f9b6820e7a30e089445bb8dc8f2cd980466f587336b2e4cc03c9a86468"),
+    ("ks-rays", "peres24.rays",
+     "2e8d09522df287d02a9ee699f508b01a1cb760a5f11ae2e598e89ea9915757d3"),
+    ("proj", "pauli_zx.mseed",
+     "f248d416082fefaf52b14f5e6e294331c42e6994f7122f07b8294717af2607f8"),
+]
+
+
+@pytest.mark.parametrize("verb, name, digest", PBA_GOLDEN)
+def test_emitted_carrier_is_golden(verb, name, digest):
+    code, out = run_cli(verb, corpus_path(name), "--format", "pba")
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 def test_ks_rays_emits_blocks():

@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from pbalg import matrixalg
 from pbalg.core import (
     boolean_algebra,
     from_orthomodular,
@@ -19,6 +20,8 @@ from pbalg.errors import (
     AmbiguousSpectrumError,
     CoconeError,
     DomainError,
+    SearchCutoffError,
+    StructuralError,
 )
 from pbalg.matrixalg import (
     MatrixSeed,
@@ -387,6 +390,27 @@ def test_peres_rays_are_kochen_specker():
     assert ra.algebra.n == 140
     assert len(ra.blocks) == 24
     assert is_kochen_specker(ra.algebra)
+
+
+def test_non_finite_rays_rejected():
+    with pytest.raises(StructuralError, match="ray 2 has non-finite entries"):
+        rays_to_pba([[1, 0], [0, 1], [float("nan"), 1]], 2)
+    with pytest.raises(StructuralError, match="ray 0 has non-finite entries"):
+        rays_to_pba([[complex(0, float("inf"))]], 1)
+    with pytest.raises(DomainError, match="ray 2 has a norm too large"):
+        rays_to_pba([[1, 0], [0, 1], [1e308, 1e308]], 2)
+
+
+@pytest.mark.parametrize("budget", [139, 140])
+def test_closure_budget_boundary(monkeypatch, budget):
+    # Cabello-18 closes to exactly 140 projections
+    monkeypatch.setattr(matrixalg, "_CLOSURE_MAX_PROJECTIONS", budget)
+    if budget < 140:
+        with pytest.raises(SearchCutoffError) as err:
+            rays_to_pba(list(CABELLO_RAYS), 4)
+        assert err.value.limit == budget
+    else:
+        assert rays_to_pba(list(CABELLO_RAYS), 4).algebra.n == 140
 
 
 def test_parallel_rays_deduplicated():
