@@ -29,6 +29,9 @@ from .core import (
     UNDEF,
     PartialBooleanAlgebra,
     PbaMorphism,
+    _compile_clauses,
+    _count_morphisms,
+    _satisfies_clauses,
     atoms_of_subalgebra,
     check_morphism,
     compose,
@@ -250,10 +253,11 @@ def verify_colimit(A: PartialBooleanAlgebra,
     is valid and the map it builds is a morphism agreeing with every leg.
     Every element lies in the member it generates, so the legs pin the map
     everywhere and it is the only candidate ("constrained-search").  When
-    the raw morphism space fits the node budget, the unconstrained
-    enumeration runs once per target as an independent cross-check that
-    lists the mediating map ("filtered-enumeration").  Apexes larger than
-    ``max_apex`` are rejected.
+    the unconstrained morphism search out of A fits the node budget (a
+    frontier count of its exact node total decides this once per target),
+    the mediating map is also walked through that search's compiled
+    clauses: an independent check that the search would list it
+    ("filtered-enumeration").  Apexes larger than ``max_apex`` are rejected.
     """
     from .core import boolean_algebra  # local to avoid import cycle at top
 
@@ -267,18 +271,15 @@ def verify_colimit(A: PartialBooleanAlgebra,
     entries: list[ColimitEntry] = []
     for B in targets:
         cocones = cocones_into(A, B, P, max_cocones=max_cocones_per_target, rng=rng)
-        try:
-            homs = {h.map for h in enumerate_morphisms(
-                A, B, max_nodes=full_enumeration_budget)}
-            route = "filtered-enumeration"
-        except SearchCutoffError:
-            homs = None
-            route = "constrained-search"
+        clauses = _compile_clauses(A, B)
+        counted = _count_morphisms(clauses, full_enumeration_budget)
+        route = "constrained-search" if counted is None else "filtered-enumeration"
         for ci, c in enumerate(cocones):
             m = mediating_morphism(A, c, P)
             entries.append(ColimitEntry(
                 target_n=B.n, cocone_index=ci, mediates=True, is_morphism=True,
-                unique=homs is None or m.map in homs, uniqueness_route=route))
+                unique=counted is None or _satisfies_clauses(clauses, m.map),
+                uniqueness_route=route))
     return ColimitReport(entries=tuple(entries), cocones_checked=len(entries))
 
 

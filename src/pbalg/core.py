@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     DomainError,
@@ -984,16 +984,22 @@ def _trusted_morphism(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
     return f
 
 
-def enumerate_morphisms(
-    A: PartialBooleanAlgebra,
-    B: PartialBooleanAlgebra,
-    max_nodes: int = 5_000_000,
-) -> list[PbaMorphism]:
-    """Complete duplicate-free list of morphisms A -> B in lexicographic
-    order on the underlying map.  Backtracking with constraint propagation;
-    raises SearchCutoffError('search too large') past the node budget."""
-    n, m = A.n, B.n
+class _Clauses(NamedTuple):
+    """The morphism clauses of A -> B compiled position by position.  Given
+    the images f of the earlier positions, position k's domain is init[k]
+    ANDed with table[f[j]] for each (table, j) in unary[k] and with
+    table[f[i]][f[j]] for each (table, i, j) in binary[k].  cost[k] is the
+    candidate count of a trial-by-trial backtracker (1 when forced, else
+    B.n), so a node budget counts the nodes that search would visit."""
+    init: list[int]
+    cost: list[int]
+    unary: list[list[tuple[list[int], int]]]
+    binary: list[list[tuple[list[list[int]], int, int]]]
 
+
+def _compile_clauses(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra) -> _Clauses:
+    """The clauses a map A -> B must meet to be a morphism, as ``_Clauses``."""
+    n, m = A.n, B.n
     # Candidate masks over B.  Each table, indexed by images already chosen,
     # gives the set of z that pass morphism clauses against them.
     col = [0] * m          # [w]: z with w in B.comm[z]
@@ -1034,14 +1040,9 @@ def enumerate_morphisms(
             if A.join[a][b] > b:
                 pins[A.join[a][b]].append((join_bit, a, b))
 
-    # Compile each position k.  Given the images f of the earlier positions,
-    # its domain is init[k] ANDed with table[f[j]] for each (table, j) in
-    # unary[k] and with table[f[i]][f[j]] for each (table, i, j) in
-    # binary[k].  A position whose init mask is one bit has that image in
-    # every prefix that gets past it, so the clauses reading it fold into
-    # later init masks.  cost[k] is the candidate count of a trial-by-trial
-    # backtracker (1 when forced, else B.n), so the node budget counts the
-    # nodes that search would visit.
+    # Compile each position k.  A position whose init mask is one bit has
+    # that image in every prefix that gets past it, so the clauses reading
+    # it fold into later init masks.
     full = (1 << m) - 1
     init: list[int] = []
     cost: list[int] = []
@@ -1087,6 +1088,19 @@ def enumerate_morphisms(
         unary.append(list(zip(tables.values(), tables)))
         binary.append(left)
         image.append(mask.bit_length() - 1 if mask and not mask & (mask - 1) else None)
+    return _Clauses(init, cost, unary, binary)
+
+
+def enumerate_morphisms(
+    A: PartialBooleanAlgebra,
+    B: PartialBooleanAlgebra,
+    max_nodes: int = 5_000_000,
+) -> list[PbaMorphism]:
+    """Complete duplicate-free list of morphisms A -> B in lexicographic
+    order on the underlying map.  Backtracking with constraint propagation;
+    raises SearchCutoffError('search too large') past the node budget."""
+    init, cost, unary, binary = _compile_clauses(A, B)
+    n = A.n
 
     # Explicit-stack search.  rest[k] holds the untried candidates at k,
     # taken lowest first so the maps come out in lexicographic order; each
@@ -1126,6 +1140,93 @@ def enumerate_morphisms(
         rest[k] = dom ^ low
         f[k] = low.bit_length() - 1
         k += 1
+
+
+def _count_morphisms(clauses: _Clauses, max_nodes: int) -> tuple[int, int] | None:
+    """``(nodes, |Hom|)`` of the search over ``clauses``, listing no map;
+    None once its node total passes ``max_nodes``, exactly when
+    ``enumerate_morphisms`` would raise.
+
+    The search charges cost[k] once per consistent prefix of length k, so
+    its node total is the sum of cost[k] * N[k].  A frontier pass counts
+    each N[k] without visiting the prefixes one by one: layer k maps each
+    frontier (the images of the earlier positions that a clause at k or
+    later still reads) to the number of consistent prefixes that share it,
+    and the last layer's count is |Hom|.
+    """
+    init, cost, unary, binary = clauses
+    n = len(init)
+    last_read = list(range(n))
+    for k in range(n):
+        for _, j in unary[k]:
+            last_read[j] = k
+        for _, i, j in binary[k]:
+            last_read[i] = last_read[j] = k
+    nodes = cost[0]
+    if nodes > max_nodes:
+        return None
+    held: list[int] = []      # the frontier's positions, in state order
+    layer: Iterable[tuple[tuple[int, ...], int]] = [((), 1)]
+    for k in range(n):
+        # where each clause at k and each surviving image sit in a state
+        slot = {p: s for s, p in enumerate(held)}
+        reads1 = [(table, slot[j]) for table, j in unary[k]]
+        reads2 = [(table, slot[i], slot[j]) for table, i, j in binary[k]]
+        kept = [s for s, p in enumerate(held) if last_read[p] > k]
+        same = len(kept) == len(held)
+        held = [held[s] for s in kept]
+        extend = last_read[k] > k
+        if extend:
+            held.append(k)
+        step = cost[k + 1] if k + 1 < n else 0
+        room = max_nodes - nodes
+        total = 0
+        grown = []      # (frontier, count) pairs of the next layer, unmerged
+        for state, count in layer:
+            dom = init[k]
+            for table, s in reads1:
+                dom &= table[state[s]]
+            for table, s, t in reads2:
+                dom &= table[state[s]][state[t]]
+            if not dom:
+                continue
+            base = state if same else tuple(map(state.__getitem__, kept))
+            if extend:
+                while dom:
+                    low = dom & -dom
+                    dom ^= low
+                    grown.append((base + (low.bit_length() - 1,), count))
+                    total += count
+            else:
+                count *= dom.bit_count()
+                grown.append((base, count))
+                total += count
+            if step * total > room:
+                return None
+        nodes += step * total
+        if same and extend:
+            layer = grown   # distinct frontiers extend to distinct ones
+        else:
+            merged: dict[tuple[int, ...], int] = {}
+            for key, count in grown:
+                merged[key] = merged.get(key, 0) + count
+            layer = merged.items()
+    return nodes, sum(count for _, count in layer)
+
+
+def _satisfies_clauses(clauses: _Clauses, mp: Sequence[int]) -> bool:
+    """Whether the search over ``clauses`` lists the map ``mp``: each image
+    lies in the domain its prefix gives that position."""
+    init, _, unary, binary = clauses
+    for k, v in enumerate(mp):
+        dom = init[k]
+        for table, j in unary[k]:
+            dom &= table[mp[j]]
+        for table, i, j in binary[k]:
+            dom &= table[mp[i]][mp[j]]
+        if not dom >> v & 1:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

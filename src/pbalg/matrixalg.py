@@ -374,13 +374,18 @@ class _ProjectionPool:
         return i
 
     def assert_gap(self):
+        """Raise on the first pair (i, j), i < j, within 10x the tolerance;
+        one vectorised row of Frobenius distances per i."""
         eps = 10 * self.tol
-        for i, j in itertools.combinations(range(len(self.mats)), 2):
-            d = float(np.linalg.norm(self.mats[i] - self.mats[j]))
-            if d <= eps:
+        stacked = np.stack(self.mats)
+        for i in range(len(stacked) - 1):
+            dist = np.linalg.norm(stacked[i + 1:] - stacked[i], axis=(1, 2))
+            close = np.flatnonzero(dist <= eps)
+            if close.size:
+                j = i + 1 + int(close[0])
                 raise StructuralError(
-                    f"projections {i} and {j} are {d:.2e} apart, inside the "
-                    f"deduplication gap {eps:.2e}")
+                    f"projections {i} and {j} are {float(dist[close[0]]):.2e} "
+                    f"apart, inside the deduplication gap {eps:.2e}")
 
 
 def _projection_closure(

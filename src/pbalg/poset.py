@@ -27,15 +27,27 @@ from .core import (
 
 
 def _set_partitions(items: list):
-    """All partitions of a list, each a list of lists; deterministic order."""
+    """All partitions of a list, each a list of lists; deterministic order.
+
+    Depth first with an explicit stack, placing the items from the last to
+    the first: each either opens a new block in front or joins one of the
+    blocks so far, tried in that order.  The first item's placements are
+    yielded as they are made."""
     if not items:
         yield []
         return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        yield [[first]] + part
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+    stack = [(len(items), [])]
+    while stack:
+        k, part = stack.pop()
+        x = items[k - 1]
+        if k == 1:
+            yield [[x]] + part
+            for i in range(len(part)):
+                yield part[:i] + [[x] + part[i]] + part[i + 1:]
+            continue
+        for i in reversed(range(len(part))):
+            stack.append((k - 1, part[:i] + [[x] + part[i]] + part[i + 1:]))
+        stack.append((k - 1, [[x]] + part))
 
 
 @dataclass(frozen=True)

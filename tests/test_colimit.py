@@ -164,16 +164,25 @@ def test_verify_constrained_route_without_enumeration_budget(mo2):
 
 
 def test_verify_filtered_cross_check_can_fail(mo2, monkeypatch):
-    # the full enumeration out of mo2 loses its first state: of the four
-    # cocones into bool1, the one that state restricts to is not unique
-    real = colimit.enumerate_morphisms
+    # the compiled clauses out of mo2 lose its first state: a clause at x1
+    # reading x0 drops that state's image of x1 under its image of x0, so of
+    # the four cocones into bool1, the one that state restricts to is not
+    # unique
+    B = boolean_algebra(1)
+    first = enumerate_morphisms(mo2, B)[0].map
+    x0, x1 = mo2.labels.index("x0"), mo2.labels.index("x1")
+    real = colimit._compile_clauses
 
-    def lossy(dom, cod, **kw):
-        homs = real(dom, cod, **kw)
-        return homs[1:] if dom is mo2 else homs
+    def lossy(dom, cod):
+        clauses = real(dom, cod)
+        full = (1 << cod.n) - 1
+        clauses.unary[x1].append(
+            ([full & ~(1 << first[x1]) if v == first[x0] else full
+              for v in range(cod.n)], x0))
+        return clauses
 
-    monkeypatch.setattr(colimit, "enumerate_morphisms", lossy)
-    rep = verify_colimit(mo2, targets=[boolean_algebra(1)])
+    monkeypatch.setattr(colimit, "_compile_clauses", lossy)
+    rep = verify_colimit(mo2, targets=[B])
     assert rep.cocones_checked == 4 and not rep.ok
     assert sum(not e.unique for e in rep.entries) == 1
 

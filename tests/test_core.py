@@ -47,7 +47,12 @@ from pbalg.core import (
     trivial_algebra,
     validate,
 )
-from pbalg.core import _certify_isomorphism
+from pbalg.core import (
+    _certify_isomorphism,
+    _compile_clauses,
+    _count_morphisms,
+    _satisfies_clauses,
+)
 from pbalg.corpus import generated_corpus, small_corpus
 from pbalg.errors import (
     DomainError,
@@ -478,6 +483,67 @@ def test_enumerate_morphisms_budget_is_exact(dom, cod, nodes, homs):
     assert len(enumerate_morphisms(A, B, max_nodes=nodes)) == homs
     with pytest.raises(SearchCutoffError):
         enumerate_morphisms(A, B, max_nodes=nodes - 1)
+    # the frontier count reaches the same total and Hom size without a map
+    clauses = _compile_clauses(A, B)
+    assert _count_morphisms(clauses, nodes) == (nodes, homs)
+    assert _count_morphisms(clauses, nodes - 1) is None
+
+
+# targets of verify_colimit's uniqueness cross-check, plus two non-Boolean ones
+COUNT_TARGETS = [boolean_algebra(1), boolean_algebra(2), boolean_algebra(3),
+                 from_orthomodular(mo_lattice(2)), from_orthomodular(mo_lattice(3))]
+
+
+def _count_matches_search(A, B, budget):
+    """The frontier count of A -> B is the search's exact node total and
+    Hom size, at the boundary of both budgets; past ``budget`` both give
+    up.  Returns whether the pair fitted."""
+    clauses = _compile_clauses(A, B)
+    counted = _count_morphisms(clauses, budget)
+    try:
+        homs = enumerate_morphisms(A, B, max_nodes=budget)
+    except SearchCutoffError:
+        assert counted is None
+        return False
+    nodes, size = counted
+    assert size == len(homs)
+    assert _count_morphisms(clauses, nodes) == counted
+    assert _count_morphisms(clauses, nodes - 1) is None
+    assert len(enumerate_morphisms(A, B, max_nodes=nodes)) == size
+    with pytest.raises(SearchCutoffError):
+        enumerate_morphisms(A, B, max_nodes=nodes - 1)
+    return True
+
+
+@pytest.mark.parametrize("B", COUNT_TARGETS,
+                         ids=["bool1", "bool2", "bool3", "mo2", "mo3"])
+def test_count_morphisms_matches_search_on_corpus(B):
+    # every corpus pair whose search fits 50,000 nodes is compared in full;
+    # the rest must give up at that budget on both sides
+    fitted = [_count_matches_search(A, B, 50_000)
+              for A in small_corpus() + generated_corpus(50, 24)]
+    assert sum(fitted) >= len(fitted) // 2
+
+
+def test_count_morphisms_past_the_search():
+    # the 24-element horizontal sum of 11 four-element blocks: each block's
+    # atom goes anywhere in bool3 on its own, 8^11 morphisms, which only a
+    # pass that merges equal frontiers can count
+    A = generated_corpus(50, 24)[14]
+    nodes, homs = _count_morphisms(_compile_clauses(A, boolean_algebra(3)), 10**12)
+    assert homs == 8 ** 11 and nodes > 200_000
+
+
+def test_clause_walk_is_membership():
+    # the walk accepts exactly the maps the search lists: every morphism,
+    # and no map one image away from one unless it is listed too
+    for A, B in itertools.product(small_corpus(), COUNT_TARGETS[:4]):
+        clauses = _compile_clauses(A, B)
+        homs = {h.map for h in enumerate_morphisms(A, B)}
+        for mp in homs:
+            for k, v in itertools.product(range(A.n), range(B.n)):
+                near = mp[:k] + (v,) + mp[k + 1:]
+                assert _satisfies_clauses(clauses, near) == (near in homs)
 
 
 # ---------------------------------------------------------------------------

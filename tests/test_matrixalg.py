@@ -401,6 +401,20 @@ def test_non_finite_rays_rejected():
         rays_to_pba([[1, 0], [0, 1], [1e308, 1e308]], 2)
 
 
+def test_assert_gap_reports_first_close_pair():
+    # two near-duplicate pairs, (0, 2) and (1, 3): the first in
+    # combinations order is named, with its Frobenius distance
+    pool = matrixalg._ProjectionPool(tol=0.01)
+    for diag in ([1, 0], [0, 1], [1, 0.05], [0, 1.02]):
+        pool.add(np.diag(np.array(diag, dtype=complex)))
+    with pytest.raises(StructuralError) as info:
+        pool.assert_gap()
+    assert str(info.value) == ("projections 0 and 2 are 5.00e-02 apart, inside "
+                               "the deduplication gap 1.00e-01")
+    pool.mats[2:] = [np.diag(np.array([0.5, 0.5], dtype=complex))]
+    pool.assert_gap()
+
+
 @pytest.mark.parametrize("budget", [139, 140])
 def test_closure_budget_boundary(monkeypatch, budget):
     # Cabello-18 closes to exactly 140 projections

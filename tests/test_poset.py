@@ -22,7 +22,7 @@ from pbalg.poset import (
     structure_report,
     report_text,
 )
-from pbalg.poset import _poset_isomorphic
+from pbalg.poset import _poset_isomorphic, _set_partitions
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +131,15 @@ def test_partition_lattice_sizes():
     for k, bell in [(1, 1), (2, 2), (3, 5), (4, 15)]:
         elems, _ = partition_lattice(k)
         assert len(elems) == bell
+
+
+def test_set_partitions_are_the_bell_numbers():
+    # every partition of 0-8 items exactly once, each covering the items
+    for k, bell in enumerate([1, 1, 2, 5, 15, 52, 203, 877, 4140]):
+        parts = [frozenset(frozenset(b) for b in p)
+                 for p in _set_partitions(list(range(k)))]
+        assert len(parts) == len(set(parts)) == bell
+        assert all(sorted(x for b in p for x in b) == list(range(k)) for p in parts)
 
 
 def test_downset_of_full_powerset_is_dual_partition_lattice():
