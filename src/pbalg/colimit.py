@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -512,43 +514,37 @@ def tensor_product(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
                    ) -> dict[int, list[int]]:
         return {p: [q for q in large if X.meet[q][p] == q] for p in small}
 
+    # Each inclusion of grid objects refines atoms, so it is a Boolean
+    # homomorphism, and the refinement into a larger object factors through
+    # every object between.  Uniting each object with the maximal objects
+    # above it therefore generates the same equivalence as uniting it with
+    # every object above it.
+    maximal = [(i, j) for i in PA.maximal_indices() for j in PB.maximal_indices()]
     for (i, j) in objects:
-        for (i2, j2) in objects:
+        for (i2, j2) in maximal:
             if (i2, j2) == (i, j):
                 continue
             if not (PA.contains(i, i2) and PB.contains(j, j2)):
                 continue
             split_a = atom_split(A, atoms_a[i], atoms_a[i2])
             split_b = atom_split(B, atoms_b[j], atoms_b[j2])
-            src_pairs = pair_lists[(i, j)]
             dst_index = {p: k for k, p in enumerate(pair_lists[(i2, j2)])}
-            img = []
-            for (pa, pb) in src_pairs:
+            targets = [0]   # targets[mask]: the image of the submask mask
+            for (pa, pb) in pair_lists[(i, j)]:
                 m = 0
                 for qa in split_a[pa]:
                     for qb in split_b[pb]:
                         m |= 1 << dst_index[(qa, qb)]
-                img.append(m)
-            for mask in range(1 << len(src_pairs)):
-                target = 0
-                mm = mask
-                while mm:
-                    low = mm & -mm
-                    target |= img[low.bit_length() - 1]
-                    mm ^= low
-                union(slot((i, j), mask), slot((i2, j2), target))
+                targets += [t | m for t in targets]
+            src, dst = slot((i, j), 0), slot((i2, j2), 0)
+            for mask, target in enumerate(targets):
+                union(src + mask, dst + target)
 
     # classes, canonically ordered with 0 first and 1 second
-    class_rep: dict[int, int] = {}
-    for obj in objects:
-        npairs = len(pair_lists[obj])
-        for mask in range(1 << npairs):
-            s = slot(obj, mask)
-            r = find(s)
-            class_rep.setdefault(r, s)
-    zero_root = find(slot(objects[0], 0))
-    one_root = find(slot(objects[0], (1 << len(pair_lists[objects[0]])) - 1))
-    roots = sorted(class_rep, key=lambda r: (r != zero_root, r != one_root, r))
+    root_of = [find(s) for s in range(total)]
+    zero_root = root_of[slot(objects[0], 0)]
+    one_root = root_of[slot(objects[0], (1 << len(pair_lists[objects[0]])) - 1)]
+    roots = sorted(set(root_of), key=lambda r: (r != zero_root, r != one_root, r))
     if len(roots) > max_carrier:
         raise SearchCutoffError(
             f"tensor carrier has {len(roots)} elements, over the cutoff",
@@ -558,43 +554,60 @@ def tensor_product(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
     zero_idx = root_index[zero_root]
     one_idx = root_index[one_root]
 
-    members_of: list[list[tuple[tuple[int, int], int]]] = [[] for _ in range(n)]
-    for obj in objects:
-        npairs = len(pair_lists[obj])
-        for mask in range(1 << npairs):
-            members_of[root_index[find(slot(obj, mask))]].append((obj, mask))
+    def write_row(table: list[list[int]], e: int, local: list[int],
+                  values: list[int], fresh: bool, name: str) -> None:
+        """table[e][local[k]] = values[k] for every k.  A row no earlier
+        object wrote, or one that already holds exactly these values, is
+        settled at C speed; any other goes cell by cell and raises at a
+        conflicting entry."""
+        row = table[e]
+        if fresh:
+            deque(map(row.__setitem__, local, values), 0)
+            return
+        if list(map(row.__getitem__, local)) == values:
+            return
+        for f, v in zip(local, values):
+            if row[f] == UNDEF:
+                row[f] = v
+            elif row[f] != v:
+                raise AmalgamError(f"{name} ill-defined on the tensor carrier")
 
+    # Every smaller object's entries are images of a maximal object's
+    # entries under a Boolean homomorphism, so the maximal objects write
+    # every distinct entry and meet every conflict.  Each writes its rows
+    # whole: a row is fresh when no earlier object wrote it and the object
+    # puts its masks on distinct elements.
     neg = [UNDEF] * n
     comm_rows = [0] * n
     meet = [[UNDEF] * n for _ in range(n)]
     join = [[UNDEF] * n for _ in range(n)]
-    for obj in objects:
-        npairs = len(pair_lists[obj])
-        full = (1 << npairs) - 1
-        local = [root_index[find(slot(obj, mask))] for mask in range(1 << npairs)]
-        for mask in range(1 << npairs):
+    written: set[int] = set()
+    for obj in maximal:
+        size = 1 << len(pair_lists[obj])
+        start = slot(obj, 0)
+        local = list(map(root_index.__getitem__, root_of[start:start + size]))
+        full = size - 1
+        for mask in range(size):
             e = local[mask]
             ne = local[full ^ mask]
             if neg[e] == UNDEF:
                 neg[e] = ne
             elif neg[e] != ne:
                 raise AmalgamError("negation ill-defined on the tensor carrier")
-        for ma in range(1 << npairs):
+        span = 0
+        for e in local:
+            span |= 1 << e
+        distinct = len(set(local)) == size
+        masks = range(size)
+        for ma in masks:
             ea = local[ma]
-            for mb in range(ma, 1 << npairs):
-                eb = local[mb]
-                comm_rows[ea] |= 1 << eb
-                comm_rows[eb] |= 1 << ea
-                mval, jval = local[ma & mb], local[ma | mb]
-                for x, y in ((ea, eb), (eb, ea)):
-                    if meet[x][y] == UNDEF:
-                        meet[x][y] = mval
-                    elif meet[x][y] != mval:
-                        raise AmalgamError("meet ill-defined on the tensor carrier")
-                    if join[x][y] == UNDEF:
-                        join[x][y] = jval
-                    elif join[x][y] != jval:
-                        raise AmalgamError("join ill-defined on the tensor carrier")
+            comm_rows[ea] |= span
+            fresh = distinct and ea not in written
+            write_row(meet, ea, local,
+                      list(map(local.__getitem__, map(ma.__and__, masks))), fresh, "meet")
+            write_row(join, ea, local,
+                      list(map(local.__getitem__, map(ma.__or__, masks))), fresh, "join")
+        written.update(local)
 
     labels = [f"t{i}" for i in range(n)]
     labels[zero_idx] = "0"
@@ -619,7 +632,7 @@ def tensor_product(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
         for k, (pa, pb) in enumerate(pair_lists[obj]):
             if A.meet[pa][x] == pa:
                 mask |= 1 << k
-        return root_index[find(slot(obj, mask))]
+        return root_index[root_of[slot(obj, mask)]]
 
     def kappa_b_value(y: int) -> int:
         gj = PB.index_of(generated_subalgebra(B, [y]))
@@ -628,7 +641,7 @@ def tensor_product(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
         for k, (pa, pb) in enumerate(pair_lists[obj]):
             if B.meet[pb][y] == pb:
                 mask |= 1 << k
-        return root_index[find(slot(obj, mask))]
+        return root_index[root_of[slot(obj, mask)]]
 
     ka = PbaMorphism(A, T, tuple(kappa_a_value(x) for x in A.elements()))
     kb = PbaMorphism(B, T, tuple(kappa_b_value(y) for y in B.elements()))
@@ -637,9 +650,13 @@ def tensor_product(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
         if not chk.ok:
             raise AmalgamError(f"canonical tensor injection fails: {chk.message}")
 
+    # each class's root is its least slot, and slots run in (object, mask)
+    # order, so the root is the class's least (object, mask) member
+    offsets = [obj_offsets[obj] for obj in objects]
     decomp = []
-    for i in range(n):
-        obj, mask = min(members_of[i])
+    for r in roots:
+        at = bisect_right(offsets, r) - 1
+        obj, mask = objects[at], r - offsets[at]
         pairs = tuple(pair_lists[obj][k]
                       for k in range(len(pair_lists[obj])) if (mask >> k) & 1)
         decomp.append(pairs)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -40,6 +41,15 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _flag_mask(flags: Iterable[bool]) -> int:
+    """The bitmask whose bit b is the b-th of a nonempty run of flags, built
+    at C speed: one byte per flag, reversed and read as a binary numeral."""
+    return int(bytes(flags)[::-1].translate(_BIT_CHARS), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +105,8 @@ class PartialBooleanAlgebra:
             for a, row in enumerate(table):
                 if len(row) != n:
                     raise StructuralError(f"{name}[{a}] has {len(row)} entries, expected {n}")
+                if min(row) >= UNDEF and max(row) < n:
+                    continue  # a row in range passes whole; others name their bad cell
                 for b, v in enumerate(row):
                     if v != UNDEF and not 0 <= v < n:
                         raise StructuralError(f"{name}[{a}][{b}] = {v} out of range")
@@ -281,8 +293,11 @@ def bron_kerbosch(adj: Sequence[int], n: int) -> list[int]:
 
     One explicit stack of (R, P, X) states, so clique size is not bounded by
     Python's recursion limit.  The pivot is the u in P | X with the most
-    neighbours in P, lowest u on ties.  Every state taken from the stack is
-    one node; past ``_CLIQUE_MAX_NODES`` it raises SearchCutoffError."""
+    neighbours in P, lowest u on ties.  The scan for it stops once no later
+    u can have more: at |P| neighbours, or at |P| - 1 when X is empty (then
+    every u is in P, which the irreflexive adjacency leaves out of its own
+    count).  Every state taken from the stack is one node; past
+    ``_CLIQUE_MAX_NODES`` it raises SearchCutoffError."""
     max_nodes = _CLIQUE_MAX_NODES
     out: list[int] = []
     stack = [(0, (1 << n) - 1, 0)]
@@ -298,6 +313,7 @@ def bron_kerbosch(adj: Sequence[int], n: int) -> list[int]:
             out.append(r)
             continue
         best_u, best = -1, -1
+        bound = p.bit_count() - (not x)
         m = p | x
         while m:
             low = m & -m
@@ -306,6 +322,8 @@ def bron_kerbosch(adj: Sequence[int], n: int) -> list[int]:
             c = (p & adj[u]).bit_count()
             if c > best:
                 best, best_u = c, u
+                if c >= bound:
+                    break
         # children in ascending v, each seeing P and X as the ones before
         # it left them; pushed reversed so the lowest v is expanded first
         children = []
@@ -359,6 +377,14 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def _gather(elems: list[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """A C-speed getter of the cells of a table row at ``elems``, as a tuple."""
+    if len(elems) == 1:
+        (b,) = elems
+        return lambda row: (row[b],)
+    return itemgetter(*elems)
+
+
 def _boolean_axiom_violations(A: PartialBooleanAlgebra, elems: list[int]) -> list[Violation]:
     """Check that a clique, with the restricted operations, is a Boolean
     algebra: closure, lattice axioms, distributivity, bounds, complements."""
@@ -375,16 +401,23 @@ def _boolean_axiom_violations(A: PartialBooleanAlgebra, elems: list[int]) -> lis
     for a in elems:
         if A.neg[a] not in inside:
             report("clique_closed_neg", (a,), f"clique not closed under neg at {lab[a]}")
-    for a, b in itertools.combinations_with_replacement(elems, 2):
-        m = A.meet[a][b]
-        j = A.join[a][b]
-        if m == UNDEF or j == UNDEF:
-            report("op_undefined_on_comm", (a, b),
-                   f"meet/join undefined on commeasurable pair ({lab[a]}, {lab[b]})")
+    # the pairs (a, b) with b at or after a in elems, one row at a time; a
+    # row whose cells all lie in the clique (UNDEF never does) is clean, and
+    # only the other rows are walked cell by cell for their witnesses
+    gather = _gather(elems)
+    for i, a in enumerate(elems):
+        row_m = gather(A.meet[a])[i:]
+        row_j = gather(A.join[a])[i:]
+        if inside.issuperset(row_m) and inside.issuperset(row_j):
             continue
-        if m not in inside or j not in inside:
-            report("clique_closed_ops", (a, b),
-                   f"clique not closed under meet/join at ({lab[a]}, {lab[b]})")
+        for b, m, j in zip(elems[i:], row_m, row_j):
+            if m == UNDEF or j == UNDEF:
+                report("op_undefined_on_comm", (a, b),
+                       f"meet/join undefined on commeasurable pair ({lab[a]}, {lab[b]})")
+                continue
+            if m not in inside or j not in inside:
+                report("clique_closed_ops", (a, b),
+                       f"clique not closed under meet/join at ({lab[a]}, {lab[b]})")
     if out:
         return out  # closure failed; deeper axioms would read bad cells
 
@@ -432,7 +465,8 @@ def _boolean_transport_violations(A: PartialBooleanAlgebra, elems: list[int]) ->
     if len(elems) != 1 << k:
         return [Violation("clique_not_boolean", tuple(elems[:3]),
                           f"clique of size {len(elems)} has {k} atoms")]
-    masks: dict[int, int] = {}
+    # mask_at[t]: the atom set below t, None off the clique (UNDEF included)
+    mask_at: list[int | None] = [None] * (A.n + 1)
     seen_mask: dict[int, int] = {}
     for t in elems:
         m = 0
@@ -444,19 +478,29 @@ def _boolean_transport_violations(A: PartialBooleanAlgebra, elems: list[int]) ->
                               f"elements {lab[seen_mask[m]]} and {lab[t]} sit "
                               "over the same atom set")]
         seen_mask[m] = t
-        masks[t] = m
+        mask_at[t] = m
     full = (1 << k) - 1
     for t in elems:
-        if A.neg[t] not in inside or masks[A.neg[t]] != full ^ masks[t]:
+        if A.neg[t] not in inside or mask_at[A.neg[t]] != full ^ mask_at[t]:
             return [Violation("complement", (t,),
                               f"neg({lab[t]}) is not the atomwise complement")]
+    # one row at a time: a row whose cells all carry the atom intersection
+    # and union is clean, and only the other rows are walked cell by cell,
+    # so the first bad cell and its report are the same
+    to_mask = mask_at.__getitem__
+    gather = _gather(elems)
+    mask_list = list(map(to_mask, elems))
     for a in elems:
+        ma = mask_at[a]
+        if (list(map(to_mask, gather(A.meet[a]))) == list(map(ma.__and__, mask_list))
+                and list(map(to_mask, gather(A.join[a]))) == list(map(ma.__or__, mask_list))):
+            continue
         for b in elems:
-            if masks[A.meet[a][b]] != masks[a] & masks[b]:
+            if mask_at[A.meet[a][b]] != ma & mask_at[b]:
                 return [Violation("clique_not_boolean", (a, b),
                                   f"meet({lab[a]}, {lab[b]}) is not the atom "
                                   "intersection")]
-            if masks[A.join[a][b]] != masks[a] | masks[b]:
+            if mask_at[A.join[a][b]] != ma | mask_at[b]:
                 return [Violation("clique_not_boolean", (a, b),
                                   f"join({lab[a]}, {lab[b]}) is not the atom "
                                   "union")]
@@ -491,7 +535,18 @@ def validate(A: PartialBooleanAlgebra) -> ValidationReport:
     if A.neg[A.zero] != A.one:
         out.append(Violation("neg_zero", (A.zero,), "neg(0) != 1"))
 
+    # Each row a decides the pairs (a, b), b >= a, at C speed: comm agrees
+    # with its transpose, each table's defined cells are the comm row, and
+    # each table agrees with its column a.  Only a row that fails is walked
+    # cell by cell, so the violations and their order are the cell walk's.
+    cols = _columns(A.comm)
     for a in range(n):
+        comm_a = A.comm[a] >> a
+        if (cols[a] >> a == comm_a
+                and all(_flag_mask(map(UNDEF.__ne__, table[a][a:])) == comm_a
+                        and table[a][a:] == tuple(map(itemgetter(a), table[a:]))
+                        for table in (A.meet, A.join))):
+            continue
         for b in range(a, n):
             if A.comm_pair(a, b) != A.comm_pair(b, a):
                 out.append(Violation("comm_symmetric", (a, b),
@@ -1340,6 +1395,14 @@ def _candidate_classes(sig_a: Sequence, sig_b: Sequence) -> list[int] | None:
     return [by_sig[s] for s in sig_a]
 
 
+# Node budget of _isomorphism_search, one node per image tried at a
+# decision.  The largest search seen on the bundled corpus, the generated
+# corpus, the test suite and the benchmark workloads takes 12 nodes (two
+# crown orders refuted in tests/test_poset.py); the largest on a workload
+# takes 9 (T(bool2, bool5) against boolean_algebra(10), on hom-sweep).
+_ISO_MAX_NODES = 5_000_000
+
+
 def _isomorphism_search(candidates: Sequence[int],
                         relations: Sequence[tuple[Sequence[int], Sequence[int]]],
                         closure: Callable[[int, int, list[int], int],
@@ -1359,7 +1422,8 @@ def _isomorphism_search(candidates: Sequence[int],
     branches on the unassigned element with the fewest candidates, lowest
     image first, on an explicit stack whose entries keep the masks and
     images as they were at their decision, so undo memory is one snapshot
-    per decision level.
+    per decision level.  Each image tried at a decision is one node; past
+    ``_ISO_MAX_NODES`` it raises SearchCutoffError.
     """
     n = len(candidates)
     full = (1 << n) - 1
@@ -1421,6 +1485,8 @@ def _isomorphism_search(candidates: Sequence[int],
     queue = [a for a, m in enumerate(masks) if not m & (m - 1)]
     stack: list[tuple[int, int, list[int], list[int], int]] = []
     free = propagate(queue, masks, f, full)
+    max_nodes = _ISO_MAX_NODES
+    nodes = 0
     while True:
         if free == 0:
             return f
@@ -1437,6 +1503,11 @@ def _isomorphism_search(candidates: Sequence[int],
             stack.append((a, cand, masks, f, free))
         elif not stack:
             return None
+        nodes += 1
+        if nodes > max_nodes:
+            raise SearchCutoffError(
+                f"search too large: isomorphism search exceeded {max_nodes} nodes",
+                limit=max_nodes)
         a, cand, saved_masks, saved_f, free = stack[-1]
         low = cand & -cand
         if cand == low:
@@ -1461,8 +1532,10 @@ def _signature(A: PartialBooleanAlgebra, a: int) -> tuple:
     """Isomorphism invariants of an element: whether it is 0, 1 or its own
     negation, its commeasurability degree, and how many commeasurable
     elements lie below it (which separates the ranks of a Boolean block)."""
-    row = A.comm[a]
-    down = sum(1 for b, v in enumerate(A.meet[a]) if v == b and row >> b & 1)
+    row, meet = A.comm[a], A.meet[a]
+    # a b with a ∧ b = b is a value of a's meet row, so one C-speed pass
+    # collects the row's distinct values and only those are tested
+    down = sum(1 for b in set(meet) if b != UNDEF and meet[b] == b and row >> b & 1)
     return (a == A.zero, a == A.one, a == A.neg[a], row.bit_count(), down)
 
 

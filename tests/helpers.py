@@ -1,7 +1,8 @@
 """Shared machinery for the test suite: vectorized exhaustive checks for the
 tensor factorization criterion, a pairwise morphism-clause walk, a
 brute-force isomorphism oracle with a carrier relabelling to feed it,
-product-and-filter oracles for cocones and maximal cliques, and the point
+product-and-filter oracles for cocones and maximal cliques, a Bron-Kerbosch
+whose pivot scan reads every vertex, crown-shaped orders, and the point
 family a two-valued state induces on the member poset."""
 
 from __future__ import annotations
@@ -286,6 +287,40 @@ def maximal_cliques_by_subsets(adj: list[int], n: int) -> list[int]:
                and not any(is_clique(mask | 1 << v) for v in range(n)
                            if not mask >> v & 1)]
     return sorted(cliques, key=lambda m: (m.bit_count(), m))
+
+
+def bron_kerbosch_full_scan(adj: list[int], n: int) -> tuple[list[int], int]:
+    """Reference Bron-Kerbosch whose pivot scan reads every u in P | X: the
+    maximal cliques in (popcount, value) order and the number of (R, P, X)
+    states the pivoted search visits."""
+    cliques: list[int] = []
+    stack = [(0, (1 << n) - 1, 0)]
+    nodes = 0
+    while stack:
+        nodes += 1
+        r, p, x = stack.pop()
+        if p == 0 and x == 0:
+            cliques.append(r)
+            continue
+        counts = [((p & adj[u]).bit_count(), -u) for u in range(n) if (p | x) >> u & 1]
+        pivot = -max(counts)[1]
+        children = []
+        for v in range(n):
+            if (p & ~adj[pivot]) >> v & 1:
+                children.append((r | 1 << v, p & adj[v], x & adj[v]))
+                p &= ~(1 << v)
+                x |= 1 << v
+        stack.extend(reversed(children))
+    return sorted(cliques, key=lambda m: (m.bit_count(), m)), nodes
+
+
+def crown(edges: list[tuple[int, int]]) -> list[int]:
+    """Height-2 poset on minimal elements 0-3 and maximal elements 4-7, as
+    row bitmasks of its order relation."""
+    leq = [1 << i for i in range(8)]
+    for lo, hi in edges:
+        leq[lo] |= 1 << hi
+    return leq
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ coproducts, equalizers, free products, tensor products."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -36,6 +37,7 @@ from pbalg.colimit import (
     verify_colimit,
 )
 from pbalg.corpus import chain_of_triangles, small_corpus
+from pbalg.formats import serialize_algebra
 from pbalg.errors import CoconeError, DomainError, SearchCutoffError
 from pbalg.poset import boolean_subalgebras
 
@@ -419,6 +421,67 @@ def test_tensor_validates(mo2, mo3):
     for A, B in [(mo2, mo2), (mo3, boolean_algebra(2))]:
         T = tensor_product(A, B)
         assert validate(T.algebra).ok
+
+
+# Digests of T(A, B) taken from the construction that united every grid
+# object with every object above it and wrote the tables from all of them:
+# sha256 of the serialized carrier, then of (kappa_a, kappa_b, atom_pairs),
+# each cut to 16 hex digits.
+TENSOR_DIGESTS = {
+    "bool1-bool1": ("0fe21ba110a55549", "68af5a54ea63866c"),
+    "bool1-bool2": ("761066423963dc38", "a85e8e14e49d018c"),
+    "bool1-bool3": ("5ccb7f299c53eb94", "a00deb54f54c0ec4"),
+    "bool1-mo2": ("91c9a9401d8c2a3a", "023948ce8fb0feb1"),
+    "bool1-mo3": ("3b712c6145e5b0d4", "3c2db1c7df932e1d"),
+    "bool2-bool1": ("761066423963dc38", "aa6514be9b2ca916"),
+    "bool2-bool2": ("e728116f2c8c577d", "cab638be4a6b0ff7"),
+    "bool2-bool3": ("cdb7fd9fc9a8fec7", "4485cb84ccc870a0"),
+    "bool2-mo2": ("738c77dcfab2a670", "40954d86c9450dcf"),
+    "bool2-mo3": ("2658f726f2bbb7b2", "64ac9a4f9c7c3d10"),
+    "bool3-bool1": ("5ccb7f299c53eb94", "a423b801d7b35ebc"),
+    "bool3-bool2": ("259da0bd33755dd9", "e50c41c7e083d68e"),
+    "bool3-bool3": ("43d9422e698b68eb", "1f326aa445851231"),
+    "bool3-mo2": ("9766761f6a3fb65a", "e12f0a2c4ec924e1"),
+    "bool3-mo3": ("b4ead8117de5ef2b", "d921637e12b757a3"),
+    "mo2-bool1": ("91c9a9401d8c2a3a", "7fb76caf80b87b16"),
+    "mo2-bool2": ("045ad71ff1a333f8", "7e0d9f8e80ec4ee7"),
+    "mo2-bool3": ("d45ba17dd8ff18d5", "826bbe42557fae10"),
+    "mo2-mo2": ("bc4c709212362d71", "4d6a3c7ac88ea081"),
+    "mo2-mo3": ("4a336f239dac9644", "8e6cfa8ea230ae7f"),
+    "mo3-bool1": ("3b712c6145e5b0d4", "07479088c2e1d1cd"),
+    "mo3-bool2": ("abd81444b2dede57", "eebad37b86a1f1d7"),
+    "mo3-bool3": ("42d8713287a02884", "db0cb0645e09ba54"),
+    "mo3-mo2": ("6b6df64e980f2389", "4672740c07c017d5"),
+    "mo3-mo3": ("85cd230fc6f68428", "f5243b8adbb842d3"),
+    # the square laws T(bool a, bool b) up to 2x4 beyond the pairs above
+    "bool1-bool4": ("adf3f6a99230482f", "d30b1b07055053c5"),
+    "bool4-bool1": ("adf3f6a99230482f", "d2261cb09746db43"),
+    "bool1-bool5": ("227a04540ee8275c", "701d5abcbedec8ac"),
+    "bool5-bool1": ("227a04540ee8275c", "bd9141380a2a3018"),
+    "bool1-bool6": ("48134c6eeb43e896", "d3ff030179b893ad"),
+    "bool6-bool1": ("48134c6eeb43e896", "ce476e7785f13cb6"),
+    "bool2-bool4": ("3fcf99cc09189745", "f965d09d1ba5da64"),
+}
+
+
+def _named_carrier(name: str):
+    if name.startswith("bool"):
+        return boolean_algebra(int(name[4:]))
+    return from_orthomodular(mo_lattice(int(name[2:])))
+
+
+@pytest.mark.parametrize("pair", sorted(TENSOR_DIGESTS))
+def test_tensor_product_is_pinned(pair):
+    # uniting each object with the maximal objects only and writing the
+    # tables from them leaves the classes, their order, the tables, the
+    # injections and the decompositions as they were
+    A, B = map(_named_carrier, pair.split("-"))
+    T = tensor_product(A, B)
+    digests = (
+        hashlib.sha256(serialize_algebra(T.algebra).encode()).hexdigest()[:16],
+        hashlib.sha256(repr((T.kappa_a.map, T.kappa_b.map, T.atom_pairs)).encode()
+                       ).hexdigest()[:16])
+    assert digests == TENSOR_DIGESTS[pair]
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    bron_kerbosch_full_scan,
     brute_force_isomorphic,
     check_morphism_pairwise,
+    crown,
     maximal_cliques_by_subsets,
     relabel,
 )
@@ -53,7 +55,8 @@ from pbalg.core import (
     _count_morphisms,
     _satisfies_clauses,
 )
-from pbalg.corpus import generated_corpus, small_corpus
+from pbalg.corpus import generated_corpus, mo3_algebra, small_corpus
+from pbalg.poset import _poset_isomorphic
 from pbalg.errors import (
     DomainError,
     InvalidAlgebraError,
@@ -121,6 +124,95 @@ def test_structural_error_names_table():
                               labels=("0", "1"))
 
 
+def _corrupt(A: PartialBooleanAlgebra, cells=(), comm_drop=()):
+    """A with each (table, a, b, v) in cells written and each comm bit
+    (a, b) in comm_drop cleared, through the checking constructor."""
+    tables = {"meet": [list(r) for r in A.meet], "join": [list(r) for r in A.join]}
+    for name, a, b, v in cells:
+        tables[name][a][b] = v
+    comm = list(A.comm)
+    for a, b in comm_drop:
+        comm[a] &= ~(1 << b)
+    return PartialBooleanAlgebra(
+        n=A.n, zero=A.zero, one=A.one, neg=A.neg, comm=tuple(comm),
+        meet=tuple(map(tuple, tables["meet"])), join=tuple(map(tuple, tables["join"])),
+        labels=A.labels)
+
+
+@pytest.mark.parametrize("cells, message", [
+    ([("meet", 3, 40, 64), ("meet", 3, 7, -2), ("meet", 9, 1, 99)],
+     "meet[3][7] = -2 out of range"),
+    ([("join", 10, 63, -5), ("join", 10, 62, 70), ("meet", 11, 0, 64)],
+     "meet[11][0] = 64 out of range"),
+    ([("meet", 0, 0, UNDEF), ("meet", 63, 63, 63), ("join", 63, 0, 64)],
+     "join[63][0] = 64 out of range"),
+])
+def test_range_check_names_first_bad_cell(cells, message):
+    # whole rows are passed at C speed; the cell walk still names the first
+    # bad cell, in table order, then row order, then column order
+    with pytest.raises(StructuralError) as info:
+        _corrupt(boolean_algebra(6), cells)
+    assert str(info.value) == message
+
+
+# (carrier, cells, comm bits dropped) and the report the cell-by-cell
+# checks gave; bool6's one 64-element block takes the transport check
+VALIDATE_CASES = {
+    "mo3-meet-asymmetric": (
+        "mo3", [("meet", 2, 3, 2)], (),
+        [("meet_commutative", (2, 3), "meet not commutative on (x0, x0')"),
+         ("complement", (2,), "neg(x0) is not a complement"),
+         ("assoc_meet", (2, 3, 2), "meet not associative at (x0, x0', x0)"),
+         ("distributive", (3, 2, 3), "join does not distribute over meet at (x0', x0, x0')")]),
+    "mo3-meet-undefined-on-comm": (
+        "mo3", [("meet", 3, 2, UNDEF)], (),
+        [("meet_commutative", (2, 3), "meet not commutative on (x0, x0')"),
+         ("complement", (3,), "neg(x0') is not a complement"),
+         ("distributive", (3, 0, 2), "meet does not distribute over join at (x0', 0, x0)"),
+         ("assoc_meet", (2, 3, 2), "meet not associative at (x0, x0', x0)")]),
+    "mo3-join-defined-off-comm": (
+        "mo3", [("join", 2, 4, 1)], (),
+        [("op_defined_iff_comm", (2, 4), "join defined on non-commeasurable pair (x0, x1)"),
+         ("join_commutative", (2, 4), "join not commutative on (x0, x1)")]),
+    "mo3-join-wrong": (
+        "mo3", [("join", 2, 3, 2), ("join", 3, 2, 2)], (),
+        [("complement", (2,), "neg(x0) is not a complement"),
+         ("distributive", (3, 0, 2), "join does not distribute over meet at (x0', 0, x0)")]),
+    "bool6-meet-asymmetric": (
+        "bool6", [("meet", 5, 9, 0)], (),
+        [("meet_commutative", (5, 9), "meet not commutative on (000101, 001001)"),
+         ("clique_not_boolean", (5, 9), "meet(000101, 001001) is not the atom intersection")]),
+    "bool6-join-undefined-on-comm": (
+        "bool6", [("join", 5, 9, UNDEF)], (),
+        [("op_defined_iff_comm", (5, 9), "join undefined on commeasurable pair (000101, 001001)"),
+         ("join_commutative", (5, 9), "join not commutative on (000101, 001001)")]),
+    "bool6-defined-off-comm": (
+        "bool6", [], ((5, 9), (9, 5)),
+        [("op_defined_iff_comm", (5, 9), "meet defined on non-commeasurable pair (000101, 001001)"),
+         ("op_defined_iff_comm", (5, 9), "join defined on non-commeasurable pair (000101, 001001)")]),
+    "bool6-join-wrong": (
+        "bool6", [("join", 5, 9, 15), ("join", 9, 5, 15)], (),
+        [("clique_not_boolean", (5, 9), "join(000101, 001001) is not the atom union")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATE_CASES))
+def test_validate_row_passes_keep_reports(case):
+    carrier, cells, drop, expected = VALIDATE_CASES[case]
+    A = mo3_algebra() if carrier == "mo3" else boolean_algebra(6)
+    report = validate(_corrupt(A, cells, drop))
+    assert [(v.rule, v.witness, v.message) for v in report.violations] == expected
+
+
+def test_transport_check_reports_undefined_cell_below_diagonal():
+    # the pair walk reads each table at b >= a, so an UNDEF at (9, 5) on a
+    # commeasurable pair reaches the 64-element block's transport check,
+    # which reports it instead of failing on the missing atom set
+    report = validate(_corrupt(boolean_algebra(6), [("meet", 9, 5, UNDEF)]))
+    assert [(v.rule, v.witness) for v in report.violations] == [
+        ("meet_commutative", (5, 9)), ("clique_not_boolean", (9, 5))]
+
+
 def test_undefined_entry_read_is_an_error(mo2):
     with pytest.raises(UndefinedOperationError):
         mo2.meet_of(2, 4)  # a and b are not commeasurable
@@ -178,6 +270,29 @@ def test_bron_kerbosch_budget_is_exact(monkeypatch, n, adj, nodes, cliques):
     with pytest.raises(SearchCutoffError) as info:
         bron_kerbosch(adj, n)
     assert info.value.limit == nodes - 1
+
+
+def test_bron_kerbosch_pivot_bound_keeps_node_count(monkeypatch):
+    # the pivot scan stops at its bound, so the pivots are those of a scan
+    # over every u and the node counts of the two searches agree
+    rng = random.Random(1014)
+    graphs = [_comm_graph(boolean_algebra(6)), _comm_graph(mo3_algebra())]
+    for _ in range(150):
+        n = rng.randint(0, 14)
+        density = rng.random()
+        adj = [0] * n
+        for u, v in itertools.combinations(range(n), 2):
+            if rng.random() < density:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        graphs.append((n, adj))
+    for n, adj in graphs:
+        cliques, nodes = bron_kerbosch_full_scan(adj, n)
+        monkeypatch.setattr(core, "_CLIQUE_MAX_NODES", nodes)
+        assert bron_kerbosch(adj, n) == cliques
+        monkeypatch.setattr(core, "_CLIQUE_MAX_NODES", nodes - 1)
+        with pytest.raises(SearchCutoffError):
+            bron_kerbosch(adj, n)
 
 
 def test_validate_deep_boolean_algebra():
@@ -677,6 +792,32 @@ def test_isomorphism_certificate_rejects_non_bijective_morphism():
     assert check_morphism(collapse).ok
     with pytest.raises(PbalgError, match="not a bijection"):
         _certify_isomorphism(collapse)
+
+
+def _tensor_square_search():
+    T = tensor_product(boolean_algebra(2), boolean_algebra(4))
+    return find_isomorphism(T.algebra, boolean_algebra(8))
+
+
+def _crown_refutation():
+    # an 8-cycle against two 4-cycles, as bipartite orders
+    return _poset_isomorphic(
+        crown([(0, 4), (0, 5), (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (3, 4)]),
+        crown([(0, 4), (0, 5), (1, 4), (1, 5), (2, 6), (2, 7), (3, 6), (3, 7)]))
+
+
+@pytest.mark.parametrize("search, found, nodes", [
+    pytest.param(_tensor_square_search, True, 7, id="tensor-2x4-bool8"),
+    pytest.param(_crown_refutation, False, 12, id="crowns"),
+])
+def test_isomorphism_budget_is_exact(monkeypatch, search, found, nodes):
+    # one node per image tried at a decision
+    monkeypatch.setattr(core, "_ISO_MAX_NODES", nodes)
+    assert bool(search()) == found
+    monkeypatch.setattr(core, "_ISO_MAX_NODES", nodes - 1)
+    with pytest.raises(SearchCutoffError) as info:
+        search()
+    assert info.value.limit == nodes - 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import crown
 from pbalg.core import (
     block_hypergraph,
     boolean_algebra,
@@ -170,20 +171,12 @@ def test_downset_check_fails_on_wrong_member():
     assert downset_matches_partition_lattice(P, sub)
 
 
-def _crown(edges: list[tuple[int, int]]) -> list[int]:
-    """Height-2 poset on minimal elements 0-3 and maximal elements 4-7."""
-    leq = [1 << i for i in range(8)]
-    for lo, hi in edges:
-        leq[lo] |= 1 << hi
-    return leq
-
-
 def test_poset_isomorphism_refutes_equal_profiles():
     # an 8-cycle and two 4-cycles as bipartite orders: every element has the
     # same (down, up) counts in both, so only the search can tell them apart
-    cycle = _crown([(0, 4), (0, 5), (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (3, 4)])
-    squares = _crown([(0, 4), (0, 5), (1, 4), (1, 5), (2, 6), (2, 7), (3, 6), (3, 7)])
-    shuffled = _crown([(3, 6), (3, 5), (2, 5), (2, 4), (1, 4), (1, 7), (0, 7), (0, 6)])
+    cycle = crown([(0, 4), (0, 5), (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (3, 4)])
+    squares = crown([(0, 4), (0, 5), (1, 4), (1, 5), (2, 6), (2, 7), (3, 6), (3, 7)])
+    shuffled = crown([(3, 6), (3, 5), (2, 5), (2, 4), (1, 4), (1, 7), (0, 7), (0, 6)])
     assert not _poset_isomorphic(cycle, squares)
     assert _poset_isomorphic(cycle, shuffled)
     assert _poset_isomorphic(squares, squares)
