@@ -44,6 +44,14 @@ def _bits(mask: int):
 
 
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bit_positions(mask: int) -> Iterable[int]:
+    """The set bit positions of a mask in ascending order, decoded at C
+    speed from its binary numeral (one byte per bit, lowest bit first);
+    cheaper than ``_bits`` once the mask holds more than a few bits."""
+    return itertools.compress(itertools.count(), bin(mask)[:1:-1].encode().translate(_BIT_FLAGS))
 
 
 def _flag_mask(flags: Iterable[bool]) -> int:
@@ -426,6 +434,16 @@ def _boolean_axiom_violations(A: PartialBooleanAlgebra, elems: list[int]) -> lis
 
     meet = A.meet
     join = A.join
+    # the closure pass reads each row from a on, and the transport check
+    # reads UNDEF as off the block; the loops below index every cell, so an
+    # UNDEF before the diagonal stops them here
+    for i, a in enumerate(elems):
+        for b in elems[:i]:
+            if meet[a][b] == UNDEF or join[a][b] == UNDEF:
+                report("op_undefined_on_comm", (a, b),
+                       f"meet/join undefined on commeasurable pair ({lab[a]}, {lab[b]})")
+    if out:
+        return out
     for a in elems:
         if meet[a][A.one] != a or join[a][A.zero] != a:
             report("bounds", (a,), f"0/1 are not bounds at {lab[a]}")
@@ -537,8 +555,9 @@ def validate(A: PartialBooleanAlgebra) -> ValidationReport:
 
     # Each row a decides the pairs (a, b), b >= a, at C speed: comm agrees
     # with its transpose, each table's defined cells are the comm row, and
-    # each table agrees with its column a.  Only a row that fails is walked
-    # cell by cell, so the violations and their order are the cell walk's.
+    # each table agrees with its column a, so on a clean row the cells
+    # (b, a) are defined exactly where (a, b) are.  Only a row that fails is
+    # walked cell by cell, and it reads definedness at (a, b) and (b, a).
     cols = _columns(A.comm)
     for a in range(n):
         comm_a = A.comm[a] >> a
@@ -551,12 +570,16 @@ def validate(A: PartialBooleanAlgebra) -> ValidationReport:
             if A.comm_pair(a, b) != A.comm_pair(b, a):
                 out.append(Violation("comm_symmetric", (a, b),
                                      f"comm asymmetric on ({lab[a]}, {lab[b]})"))
-            defined = A.comm_pair(a, b)
             for name, table in (("meet", A.meet), ("join", A.join)):
-                if (table[a][b] != UNDEF) != defined:
-                    word = "undefined on commeasurable" if defined else "defined on non-commeasurable"
-                    out.append(Violation("op_defined_iff_comm", (a, b),
-                                         f"{name} {word} pair ({lab[a]}, {lab[b]})"))
+                # one report per pair and table: at (a, b) if that cell is
+                # wrong, else at (b, a) if that one is
+                for p, q in ((a, b), (b, a)):
+                    defined = A.comm_pair(p, q)
+                    if (table[p][q] != UNDEF) != defined:
+                        word = "undefined on commeasurable" if defined else "defined on non-commeasurable"
+                        out.append(Violation("op_defined_iff_comm", (p, q),
+                                             f"{name} {word} pair ({lab[p]}, {lab[q]})"))
+                        break
                 if table[a][b] != table[b][a]:
                     out.append(Violation(f"{name}_commutative", (a, b),
                                          f"{name} not commutative on ({lab[a]}, {lab[b]})"))
@@ -1396,10 +1419,12 @@ def _candidate_classes(sig_a: Sequence, sig_b: Sequence) -> list[int] | None:
 
 
 # Node budget of _isomorphism_search, one node per image tried at a
-# decision.  The largest search seen on the bundled corpus, the generated
-# corpus, the test suite and the benchmark workloads takes 12 nodes (two
-# crown orders refuted in tests/test_poset.py); the largest on a workload
-# takes 9 (T(bool2, bool5) against boolean_algebra(10), on hom-sweep).
+# decision.  The largest search seen between valid carriers of the bundled
+# corpus, the generated corpus, the test suite and the benchmark workloads
+# takes 12 nodes (two crown orders refuted in tests/test_poset.py); the
+# largest on a workload takes 9 (T(bool2, bool5) against
+# boolean_algebra(10), on hom-sweep); a relabelled carrier with one
+# corrupted meet or join in tests/test_core.py takes 237.
 _ISO_MAX_NODES = 5_000_000
 
 
@@ -1415,34 +1440,48 @@ def _isomorphism_search(candidates: Sequence[int],
 
     ``closure(a, b, f, done)``, if given, runs when a is assigned b, with
     ``done`` the mask of elements assigned before a; it returns pairs
-    ``(x, y)`` that force f[x] == y, and a negative x or y is a
-    contradiction.  Every decision and every forced image narrows the
-    candidate masks of the unassigned elements (forward checking); an
-    element left with one candidate is assigned in turn.  The search
-    branches on the unassigned element with the fewest candidates, lowest
-    image first, on an explicit stack whose entries keep the masks and
-    images as they were at their decision, so undo memory is one snapshot
-    per decision level.  Each image tried at a decision is one node; past
-    ``_ISO_MAX_NODES`` it raises SearchCutoffError.
+    ``(x, y)`` that force f[x] == y (it may leave out pairs f already
+    satisfies), and a negative x or y is a contradiction.
+
+    Injectivity is one mask of used images, so an element's candidates
+    are ``masks[x] & ~used``; assigning a narrows the masks of the
+    unassigned elements only through a relation cell that excludes some
+    image (forward checking), and only the closure's pairs are visited
+    beyond that.  An element whose candidates narrow to one, or are forced
+    by the closure, is assigned in turn.  Before each decision a scan over
+    the unassigned elements finds those injectivity alone has narrowed: no
+    candidate left is a contradiction, one left is assigned in turn, and
+    only when neither occurs does the search branch, on the element with
+    the fewest candidates, lowest image first.  Forced assignments cost no
+    node.  The search runs on an explicit stack whose entries keep the
+    masks, images and used mask as they were at their decision, so undo
+    memory is one snapshot per decision level.  Each image tried at a
+    decision is one node; past ``_ISO_MAX_NODES`` it raises
+    SearchCutoffError.
     """
     n = len(candidates)
     full = (1 << n) - 1
 
-    def propagate(queue: list[int], masks: list[int], f: list[int], free: int) -> int:
+    def propagate(queue: list[int], masks: list[int], f: list[int], free: int,
+                  used: int) -> tuple[int, int]:
         """Assign the queued elements and everything they force; returns
-        the new free mask, or -1 on a contradiction."""
+        the new free and used masks, free -1 on a contradiction."""
         while queue:
             a = queue.pop()
             if f[a] >= 0:
                 continue
-            b = masks[a].bit_length() - 1
+            m = masks[a] & ~used
+            if not m:
+                return -1, used
+            b = m.bit_length() - 1
             for rows_a, rows_b in relations:
                 if (rows_a[a] >> a & 1) != (rows_b[b] >> b & 1):
-                    return -1
+                    return -1, used
             f[a] = b
             done = full ^ free
             free ^= 1 << a
-            cells = [(free, full ^ 1 << b)]
+            used |= 1 << b
+            cells = [(free, full)]
             for rows_a, rows_b in relations:
                 inside, row = rows_a[a], rows_b[b]
                 cells = [(part & side, keep & image)
@@ -1450,57 +1489,66 @@ def _isomorphism_search(candidates: Sequence[int],
                          for side, image in ((inside, row), (~inside, ~row))
                          if part & side]
             for part, keep in cells:
-                while part:
-                    low = part & -part
-                    part ^= low
-                    x = low.bit_length() - 1
+                if keep == full:
+                    continue
+                for x in _bit_positions(part):
                     old = masks[x]
                     m = old & keep
                     if m != old:
-                        if not m:
-                            return -1
                         masks[x] = m
+                        m &= ~used
+                        if not m:
+                            return -1, used
                         if not m & (m - 1):
                             queue.append(x)
             if closure is not None:
                 for x, y in closure(a, b, f, done):
                     if x < 0 or y < 0:
-                        return -1
+                        return -1, used
                     if f[x] >= 0:
                         if f[x] != y:
-                            return -1
+                            return -1, used
                         continue
-                    m = masks[x]
-                    if not m >> y & 1:
-                        return -1
-                    if m != 1 << y:
+                    if not (masks[x] & ~used) >> y & 1:
+                        return -1, used
+                    if masks[x] != 1 << y:
                         masks[x] = 1 << y
                         queue.append(x)
-        return free
+        return free, used
 
     if not all(candidates):
         return None
     masks = list(candidates)
     f = [-1] * n
     queue = [a for a, m in enumerate(masks) if not m & (m - 1)]
-    stack: list[tuple[int, int, list[int], list[int], int]] = []
-    free = propagate(queue, masks, f, full)
+    stack: list[tuple[int, int, list[int], list[int], int, int]] = []
+    free, used = propagate(queue, masks, f, full, 0)
     max_nodes = _ISO_MAX_NODES
     nodes = 0
     while True:
+        if free > 0:
+            # the candidates injectivity leaves each unassigned element:
+            # none is a contradiction, one is assigned at no node, and only
+            # otherwise does the search branch
+            avail = full ^ used
+            best, a, forced = n + 1, -1, []
+            for x in _bit_positions(free):
+                c = (masks[x] & avail).bit_count()
+                if c < 2:
+                    if not c:
+                        free = -1
+                        break
+                    forced.append(x)
+                elif c < best:
+                    best, a = c, x
+            else:
+                if forced:
+                    free, used = propagate(forced, masks, f, free, used)
+                    continue
         if free == 0:
             return f
         if free > 0:
-            best, a, rest = n + 1, -1, free
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                x = low.bit_length() - 1
-                c = masks[x].bit_count()
-                if c < best:
-                    best, a = c, x
-            cand = masks[a]
-            stack.append((a, cand, masks, f, free))
+            stack.append((a, masks[a] & avail, masks, f, free, used))
         elif not stack:
             return None
         nodes += 1
@@ -1508,22 +1556,25 @@ def _isomorphism_search(candidates: Sequence[int],
             raise SearchCutoffError(
                 f"search too large: isomorphism search exceeded {max_nodes} nodes",
                 limit=max_nodes)
-        a, cand, saved_masks, saved_f, free = stack[-1]
+        a, cand, saved_masks, saved_f, free, used = stack[-1]
         low = cand & -cand
         if cand == low:
             stack.pop()
             masks, f = saved_masks, saved_f
         else:
-            stack[-1] = (a, cand ^ low, saved_masks, saved_f, free)
+            stack[-1] = (a, cand ^ low, saved_masks, saved_f, free, used)
             masks, f = list(saved_masks), list(saved_f)
         masks[a] = low
-        free = propagate([a], masks, f, free)
+        free, used = propagate([a], masks, f, free, used)
 
 
 def _columns(rows: Sequence[int]) -> list[int]:
     """The transpose of a square relation given as row bitmasks, through
     the rows' binary strings (character j of row a is bit n-1-j)."""
     n = len(rows)
+    full = (1 << n) - 1
+    if all(row == full for row in rows):
+        return list(rows)  # a total relation is its own transpose
     strings = [format(row, f"0{n}b") for row in rows]
     return [int("".join(reversed(chars)), 2) for chars in zip(*strings)][::-1]
 
@@ -1551,11 +1602,15 @@ def _certify_isomorphism(f: PbaMorphism) -> None:
     inverse = [0] * B.n
     for a, v in enumerate(m):
         inverse[v] = a
+    full = (1 << A.n) - 1
     for a in range(A.n):
-        # bit v of the moved row is bit inverse[v] of A.comm[a]
-        bits = format(A.comm[a], f"0{A.n}b")[::-1]
-        moved = "".join(map(bits.__getitem__, inverse))
-        if int(moved[::-1], 2) != B.comm[m[a]]:
+        # bit v of the moved row is bit inverse[v] of A.comm[a]; a bijection
+        # moves a full row onto a full row
+        moved = A.comm[a]
+        if moved != full:
+            bits = format(moved, f"0{A.n}b")[::-1]
+            moved = int("".join(map(bits.__getitem__, inverse))[::-1], 2)
+        if moved != B.comm[m[a]]:
             raise PbalgError(
                 f"isomorphism search returned a map that does not reflect "
                 f"commeasurability at {A.labels[a]}")
@@ -1574,23 +1629,34 @@ def find_isomorphism(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra) -> tupl
     relations = [(cols_a, cols_b)]
     if cols_a != list(A.comm) or cols_b != list(B.comm):
         relations.append((A.comm, B.comm))
-    # the pairs check_morphism reads, a < b with A.comm_pair(a, b), are
-    # each met once, when the later of a and b is assigned
-    near = [r | c for r, c in zip(A.comm, cols_a)]
+    meet_a, join_a, meet_b, join_b = A.meet, A.join, B.meet, B.join
 
     def closure(a: int, b: int, f: list[int], done: int) -> list[tuple[int, int]]:
+        # the pairs check_morphism reads, p < q with A.comm_pair(p, q), are
+        # each met once, when the later of p and q is assigned: the assigned
+        # x < a with comm[x] bit a (column a) and x > a with comm[a] bit x.
+        # A pair whose meet or join already maps onto the images' meet or
+        # join forces nothing new and is left out ((m | y) < 0 iff m or y is
+        # UNDEF), and repeats of a forced pair are dropped at C speed.
         forced = [(A.neg[a], B.neg[b])]
-        rest = near[a] & done
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            x = low.bit_length() - 1
+        for x in _bit_positions(done & cols_a[a] & ((1 << a) - 1)):
             fx = f[x]
-            p, q, fp, fq = (a, x, b, fx) if a < x else (x, a, fx, b)
-            if A.comm[p] >> q & 1:
-                forced.append((A.meet[p][q], B.meet[fp][fq]))
-                forced.append((A.join[p][q], B.join[fp][fq]))
-        return forced
+            m, y = meet_a[x][a], meet_b[fx][b]
+            if f[m] != y or (m | y) < 0:
+                forced.append((m, y))
+            m, y = join_a[x][a], join_b[fx][b]
+            if f[m] != y or (m | y) < 0:
+                forced.append((m, y))
+        row_meet, row_join, image_meet, image_join = meet_a[a], join_a[a], meet_b[b], join_b[b]
+        for x in _bit_positions(done & (A.comm[a] >> a + 1 << a + 1)):
+            fx = f[x]
+            m, y = row_meet[x], image_meet[fx]
+            if f[m] != y or (m | y) < 0:
+                forced.append((m, y))
+            m, y = row_join[x], image_join[fx]
+            if f[m] != y or (m | y) < 0:
+                forced.append((m, y))
+        return list(dict.fromkeys(forced))
 
     f = _isomorphism_search(candidates, relations, closure)
     if f is None:

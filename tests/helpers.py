@@ -1,27 +1,34 @@
 """Shared machinery for the test suite: vectorized exhaustive checks for the
 tensor factorization criterion, a pairwise morphism-clause walk, a
-brute-force isomorphism oracle with a carrier relabelling to feed it,
-product-and-filter oracles for cocones and maximal cliques, a Bron-Kerbosch
-whose pivot scan reads every vertex, crown-shaped orders, and the point
-family a two-valued state induces on the member poset."""
+brute-force isomorphism oracle with a carrier relabelling to feed it, the
+isomorphism search as it was before its used-image mask, product-and-filter
+oracles for cocones and maximal cliques, a Bron-Kerbosch whose pivot scan
+reads every vertex, crown-shaped orders, and the point family a two-valued
+state induces on the member poset."""
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from pbalg import core
 from pbalg.core import (
     UNDEF,
     MorphismCheck,
     PartialBooleanAlgebra,
     PbaMorphism,
+    _candidate_classes,
+    _columns,
+    _signature,
     atoms_of_subalgebra,
     enumerate_morphisms,
     sub_algebra,
 )
 from pbalg.colimit import TensorResult, tensor_factorization, tensor_product
+from pbalg.errors import SearchCutoffError
 from pbalg.poset import SubalgebraPoset
 
 
@@ -245,6 +252,165 @@ def relabel(A: PartialBooleanAlgebra, perm: list[int]) -> PartialBooleanAlgebra:
         join=tuple(tuple(moved(A.join[inv[i]][inv[j]]) for j in range(n))
                    for i in range(n)),
         labels=tuple(A.labels[inv[i]] for i in range(n)))
+
+
+# ---------------------------------------------------------------------------
+# reference isomorphism search
+# ---------------------------------------------------------------------------
+
+def eager_isomorphism_search(candidates: Sequence[int],
+                              relations: Sequence[tuple[Sequence[int], Sequence[int]]],
+                              closure: Callable[[int, int, list[int], int],
+                                                Iterable[tuple[int, int]]] | None = None,
+                              ) -> list[int] | None:
+    """Reference isomorphism search, the library's before its used-image
+    mask: every assignment clears its image from every unassigned mask.
+
+    A bijection f of 0..n-1 with f[a] in candidates[a] for every a and
+    ``rows_a[a]`` bit x == ``rows_b[f[a]]`` bit f[x] for every relation
+    ``(rows_a, rows_b)`` and every a assigned before x (pass a relation's
+    columns as a second relation to cover the other order), or None.
+
+    ``closure(a, b, f, done)``, if given, runs when a is assigned b, with
+    ``done`` the mask of elements assigned before a; it returns pairs
+    ``(x, y)`` that force f[x] == y, and a negative x or y is a
+    contradiction.  Every decision and every forced image narrows the
+    candidate masks of the unassigned elements (forward checking); an
+    element left with one candidate is assigned in turn.  The search
+    branches on the unassigned element with the fewest candidates, lowest
+    image first, on an explicit stack whose entries keep the masks and
+    images as they were at their decision, so undo memory is one snapshot
+    per decision level.  Each image tried at a decision is one node; past
+    ``core._ISO_MAX_NODES`` it raises SearchCutoffError.
+    """
+    n = len(candidates)
+    full = (1 << n) - 1
+
+    def propagate(queue: list[int], masks: list[int], f: list[int], free: int) -> int:
+        """Assign the queued elements and everything they force; returns
+        the new free mask, or -1 on a contradiction."""
+        while queue:
+            a = queue.pop()
+            if f[a] >= 0:
+                continue
+            b = masks[a].bit_length() - 1
+            for rows_a, rows_b in relations:
+                if (rows_a[a] >> a & 1) != (rows_b[b] >> b & 1):
+                    return -1
+            f[a] = b
+            done = full ^ free
+            free ^= 1 << a
+            cells = [(free, full ^ 1 << b)]
+            for rows_a, rows_b in relations:
+                inside, row = rows_a[a], rows_b[b]
+                cells = [(part & side, keep & image)
+                         for part, keep in cells
+                         for side, image in ((inside, row), (~inside, ~row))
+                         if part & side]
+            for part, keep in cells:
+                while part:
+                    low = part & -part
+                    part ^= low
+                    x = low.bit_length() - 1
+                    old = masks[x]
+                    m = old & keep
+                    if m != old:
+                        if not m:
+                            return -1
+                        masks[x] = m
+                        if not m & (m - 1):
+                            queue.append(x)
+            if closure is not None:
+                for x, y in closure(a, b, f, done):
+                    if x < 0 or y < 0:
+                        return -1
+                    if f[x] >= 0:
+                        if f[x] != y:
+                            return -1
+                        continue
+                    m = masks[x]
+                    if not m >> y & 1:
+                        return -1
+                    if m != 1 << y:
+                        masks[x] = 1 << y
+                        queue.append(x)
+        return free
+
+    if not all(candidates):
+        return None
+    masks = list(candidates)
+    f = [-1] * n
+    queue = [a for a, m in enumerate(masks) if not m & (m - 1)]
+    stack: list[tuple[int, int, list[int], list[int], int]] = []
+    free = propagate(queue, masks, f, full)
+    max_nodes = core._ISO_MAX_NODES
+    nodes = 0
+    while True:
+        if free == 0:
+            return f
+        if free > 0:
+            best, a, rest = n + 1, -1, free
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                x = low.bit_length() - 1
+                c = masks[x].bit_count()
+                if c < best:
+                    best, a = c, x
+            cand = masks[a]
+            stack.append((a, cand, masks, f, free))
+        elif not stack:
+            return None
+        nodes += 1
+        if nodes > max_nodes:
+            raise SearchCutoffError(
+                f"search too large: isomorphism search exceeded {max_nodes} nodes",
+                limit=max_nodes)
+        a, cand, saved_masks, saved_f, free = stack[-1]
+        low = cand & -cand
+        if cand == low:
+            stack.pop()
+            masks, f = saved_masks, saved_f
+        else:
+            stack[-1] = (a, cand ^ low, saved_masks, saved_f, free)
+            masks, f = list(saved_masks), list(saved_f)
+        masks[a] = low
+        free = propagate([a], masks, f, free)
+
+
+def eager_find_isomorphism(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra
+                           ) -> tuple[int, ...] | None:
+    """``find_isomorphism``'s search as it was before the used-image mask,
+    with a closure that returns every forced pair, and without the
+    certificate: the map it finds, or None."""
+    if A.n != B.n:
+        return None
+    candidates = _candidate_classes([_signature(A, a) for a in range(A.n)],
+                                    [_signature(B, b) for b in range(B.n)])
+    if candidates is None:
+        return None
+    cols_a, cols_b = _columns(A.comm), _columns(B.comm)
+    relations = [(cols_a, cols_b)]
+    if cols_a != list(A.comm) or cols_b != list(B.comm):
+        relations.append((A.comm, B.comm))
+    near = [r | c for r, c in zip(A.comm, cols_a)]
+
+    def closure(a: int, b: int, f: list[int], done: int) -> list[tuple[int, int]]:
+        forced = [(A.neg[a], B.neg[b])]
+        rest = near[a] & done
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            x = low.bit_length() - 1
+            fx = f[x]
+            p, q, fp, fq = (a, x, b, fx) if a < x else (x, a, fx, b)
+            if A.comm[p] >> q & 1:
+                forced.append((A.meet[p][q], B.meet[fp][fq]))
+                forced.append((A.join[p][q], B.join[fp][fq]))
+        return forced
+
+    f = eager_isomorphism_search(candidates, relations, closure)
+    return None if f is None else tuple(f)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ generated subalgebras, morphisms."""
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import itertools
 import random
@@ -17,6 +18,8 @@ from helpers import (
     brute_force_isomorphic,
     check_morphism_pairwise,
     crown,
+    eager_find_isomorphism,
+    eager_isomorphism_search,
     maximal_cliques_by_subsets,
     relabel,
 )
@@ -50,9 +53,13 @@ from pbalg.core import (
     validate,
 )
 from pbalg.core import (
+    _boolean_axiom_violations,
+    _boolean_transport_violations,
     _certify_isomorphism,
+    _columns,
     _compile_clauses,
     _count_morphisms,
+    _isomorphism_search,
     _satisfies_clauses,
 )
 from pbalg.corpus import generated_corpus, mo3_algebra, small_corpus
@@ -156,7 +163,9 @@ def test_range_check_names_first_bad_cell(cells, message):
 
 
 # (carrier, cells, comm bits dropped) and the report the cell-by-cell
-# checks gave; bool6's one 64-element block takes the transport check
+# checks gave; bool6's one 64-element block takes the transport check.  An
+# UNDEF below the diagonal on a commeasurable pair is reported as
+# op_defined_iff_comm at its own cell, and no block check runs after it.
 VALIDATE_CASES = {
     "mo3-meet-asymmetric": (
         "mo3", [("meet", 2, 3, 2)], (),
@@ -166,10 +175,8 @@ VALIDATE_CASES = {
          ("distributive", (3, 2, 3), "join does not distribute over meet at (x0', x0, x0')")]),
     "mo3-meet-undefined-on-comm": (
         "mo3", [("meet", 3, 2, UNDEF)], (),
-        [("meet_commutative", (2, 3), "meet not commutative on (x0, x0')"),
-         ("complement", (3,), "neg(x0') is not a complement"),
-         ("distributive", (3, 0, 2), "meet does not distribute over join at (x0', 0, x0)"),
-         ("assoc_meet", (2, 3, 2), "meet not associative at (x0, x0', x0)")]),
+        [("op_defined_iff_comm", (3, 2), "meet undefined on commeasurable pair (x0', x0)"),
+         ("meet_commutative", (2, 3), "meet not commutative on (x0, x0')")]),
     "mo3-join-defined-off-comm": (
         "mo3", [("join", 2, 4, 1)], (),
         [("op_defined_iff_comm", (2, 4), "join defined on non-commeasurable pair (x0, x1)"),
@@ -205,12 +212,26 @@ def test_validate_row_passes_keep_reports(case):
 
 
 def test_transport_check_reports_undefined_cell_below_diagonal():
-    # the pair walk reads each table at b >= a, so an UNDEF at (9, 5) on a
-    # commeasurable pair reaches the 64-element block's transport check,
-    # which reports it instead of failing on the missing atom set
-    report = validate(_corrupt(boolean_algebra(6), [("meet", 9, 5, UNDEF)]))
-    assert [(v.rule, v.witness) for v in report.violations] == [
-        ("meet_commutative", (5, 9)), ("clique_not_boolean", (9, 5))]
+    # validate reports an UNDEF at (9, 5) on a commeasurable pair from its
+    # pair walk and then checks no block; the 64-element block's transport
+    # check, read on its own, reports the cell instead of failing on the
+    # missing atom set
+    A = _corrupt(boolean_algebra(6), [("meet", 9, 5, UNDEF)])
+    assert [(v.rule, v.witness) for v in validate(A).violations] == [
+        ("op_defined_iff_comm", (9, 5)), ("meet_commutative", (5, 9))]
+    assert [(v.rule, v.witness) for v in _boolean_transport_violations(A, list(range(64)))] == [
+        ("clique_not_boolean", (9, 5))]
+
+
+@pytest.mark.parametrize("name", ["meet", "join"])
+def test_clique_pass_stops_undefined_cell_below_diagonal(name):
+    # the closure pass reads each row from the diagonal on; the axiom loops
+    # of a block of at most 32 elements index every cell, so an UNDEF below
+    # the diagonal is reported before them and they do not run
+    A = _corrupt(mo3_algebra(), [(name, 3, 2, UNDEF)])
+    assert [(v.rule, v.witness) for v in _boolean_axiom_violations(A, [0, 1, 2, 3])] == [
+        ("op_undefined_on_comm", (3, 2))]
+    assert not extension_clause_oracle(A)
 
 
 def test_undefined_entry_read_is_an_error(mo2):
@@ -818,6 +839,185 @@ def test_isomorphism_budget_is_exact(monkeypatch, search, found, nodes):
     with pytest.raises(SearchCutoffError) as info:
         search()
     assert info.value.limit == nodes - 1
+
+
+def _exact_nodes(monkeypatch, search) -> int:
+    """The node count of a search: the least ``_ISO_MAX_NODES`` it runs
+    through without SearchCutoffError, by doubling and then bisection."""
+    def runs_through(budget: int) -> bool:
+        monkeypatch.setattr(core, "_ISO_MAX_NODES", budget)
+        try:
+            search()
+        except SearchCutoffError:
+            return False
+        return True
+
+    lo, hi = 0, 1
+    while not runs_through(hi):
+        lo, hi = hi + 1, hi * 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if runs_through(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
+def _random_search_instance(rng: random.Random):
+    """Candidate masks around a hidden bijection (sometimes without its
+    image, so some instances have no solution) and one or two relations
+    that cover both orders of every pair, as the search requires: a
+    symmetric relation, or a relation and its columns, each with its image
+    under the bijection and now and then one bit (or one symmetric pair of
+    bits) flipped."""
+    n = rng.randint(1, 8)
+    perm = rng.sample(range(n), n)
+    candidates = [1 << perm[a] | rng.getrandbits(n) for a in range(n)]
+    if rng.random() < 0.15:
+        a = rng.randrange(n)
+        candidates[a] &= ~(1 << perm[a])
+
+    def relation(symmetric: bool):
+        # sparse rows leave many images open, so the search branches
+        rows_a = [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+                  for _ in range(n)]
+        if symmetric:
+            rows_a = [row & ~(-1 << a + 1) for a, row in enumerate(rows_a)]
+            rows_a = [r | c for r, c in zip(rows_a, _columns(rows_a))]
+        rows_b = [0] * n
+        for a, row in enumerate(rows_a):
+            rows_b[perm[a]] = sum(1 << perm[x] for x in range(n) if row >> x & 1)
+        if rng.random() < 0.2:
+            x, y = rng.randrange(n), rng.randrange(n)
+            rows_b[x] ^= 1 << y
+            if symmetric and x != y:
+                rows_b[y] ^= 1 << x
+        return rows_a, rows_b
+
+    if rng.random() < 0.5:
+        relations = [relation(True)]
+    else:
+        rows = relation(False)
+        relations = [rows, tuple(map(_columns, rows))]
+    if rng.random() < 0.3:
+        relations.append(relation(True))
+    return candidates, relations
+
+
+# candidates that only injectivity narrows: once 0 is placed, 1 has one
+# image left, and so on down the chain, with no relation cell excluding any
+INJECTIVITY_ONLY = [
+    ([0b001, 0b011, 0b111], [([0b111] * 3, [0b111] * 3)]),
+    ([0b011, 0b011, 0b110], [([0, 0, 0], [0, 0, 0])]),
+    ([0b0110, 0b0110, 0b1111, 0b1111], [([0b1111] * 4, [0b1111] * 4)]),
+    ([0b11, 0b11, 0b11], [([0b111] * 3, [0b111] * 3)]),
+]
+
+
+def test_isomorphism_search_matches_eager_reference(monkeypatch):
+    # the used-image mask and the scan that forces what injectivity alone
+    # narrows reach the same fixpoint before every decision as clearing
+    # each image from every mask, so maps and node counts agree
+    rng = random.Random(20261019)
+    instances = INJECTIVITY_ONLY + [_random_search_instance(rng) for _ in range(400)]
+    found = 0
+    for candidates, relations in instances:
+        searches = [lambda search=search: search(candidates, relations)
+                    for search in (_isomorphism_search, eager_isomorphism_search)]
+        results = [search() for search in searches]
+        assert results[0] == results[1], (candidates, relations)
+        nodes = [_exact_nodes(monkeypatch, search) for search in searches]
+        assert nodes[0] == nodes[1], (candidates, relations)
+        monkeypatch.setattr(core, "_ISO_MAX_NODES", 5_000_000)
+        found += results[0] is not None
+    assert 0 < found < len(instances)
+
+
+def test_find_isomorphism_matches_eager_reference(monkeypatch):
+    # the closure returns only the pairs that force something new, and an
+    # UNDEF or a conflict is still a contradiction, also on carriers that
+    # fail validation
+    rng = random.Random(20261019)
+    carriers = [A for A in _corpus() if A.n <= 16]
+    pairs = [(A, relabel(A, rng.sample(range(A.n), A.n))) for A in carriers]
+    pairs += [(A, B) for A, B in itertools.combinations(carriers, 2) if A.n == B.n]
+    # a relabelling with one commeasurable pair's meet or join made UNDEF or
+    # another value, so that only the closure can refute it
+    for A, B in pairs[:len(carriers)]:
+        if A.n < 2:
+            continue
+        p, q = rng.choice([(p, q) for p, q in itertools.combinations(range(B.n), 2)
+                           if B.comm_pair(p, q)])
+        name = rng.choice(("meet", "join"))
+        for value in (UNDEF, rng.randrange(B.n)):
+            pairs.append((A, _corrupt(B, [(name, p, q, value), (name, q, p, value)])))
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        A = _garbage(rng, n)
+        pairs += [(A, relabel(A, rng.sample(range(n), n))), (A, _garbage(rng, n))]
+    found = 0
+    for A, B in pairs:
+        searches = [lambda: find_isomorphism(A, B), lambda: eager_find_isomorphism(A, B)]
+        results = [search() for search in searches]
+        assert results[0] == results[1], (A, B)
+        nodes = [_exact_nodes(monkeypatch, search) for search in searches]
+        assert nodes[0] == nodes[1], (A, B)
+        monkeypatch.setattr(core, "_ISO_MAX_NODES", 5_000_000)
+        found += results[0] is not None
+    assert 0 < found < len(pairs)
+
+
+# Node count and sha256 of repr(map), cut to 16 hex digits, of
+# find_isomorphism(T(X, Y), target) for hom-sweep's unit laws T(bool1, A) ≅ A
+# and square laws T(bool a, bool b) ≅ bool(ab), taken from the search that
+# cleared each image from every unassigned mask.
+LAW_PINS = {
+    "unit:bool1": (0, "a5cabe61309cbdb1"),
+    "unit:bool2": (1, "c488d5c0fe8e8bd1"),
+    "unit:bool3": (2, "1f01ade0b282acd8"),
+    "unit:mo2": (2, "3a06086c62e636d4"),
+    "unit:mo3": (3, "71347777824d0062"),
+    "square:1x1": (0, "a5cabe61309cbdb1"),
+    "square:1x2": (1, "c488d5c0fe8e8bd1"),
+    "square:2x1": (1, "c488d5c0fe8e8bd1"),
+    "square:2x2": (3, "f3c85bb2d0ae9374"),
+    "square:1x3": (2, "1f01ade0b282acd8"),
+    "square:3x1": (2, "1f01ade0b282acd8"),
+    "square:1x4": (3, "7b7cf37426e5e8f7"),
+    "square:4x1": (3, "7b7cf37426e5e8f7"),
+    "square:1x5": (4, "a34a2cb3cafbe6fe"),
+    "square:5x1": (4, "a34a2cb3cafbe6fe"),
+    "square:2x3": (5, "358a153938b125ce"),
+    "square:3x2": (5, "507aa47308ff28ea"),
+    "square:1x6": (5, "806345b237b42b0f"),
+    "square:6x1": (5, "806345b237b42b0f"),
+    "square:2x4": (7, "cc8a50751201caa7"),
+    "square:2x5": (9, "abfe4382d1da33cc"),
+}
+
+
+def _law(law: str):
+    kind, arg = law.split(":")
+    if kind == "unit":
+        A = dict(zip(("bool1", "bool2", "bool3", "mo2", "mo3"), small_corpus()))[arg]
+        return boolean_algebra(1), A, A
+    a, b = map(int, arg.split("x"))
+    return boolean_algebra(a), boolean_algebra(b), boolean_algebra(a * b)
+
+
+@pytest.mark.parametrize("law", list(LAW_PINS))
+def test_tensor_law_isomorphism_is_pinned(monkeypatch, law):
+    X, Y, target = _law(law)
+    T = tensor_product(X, Y).algebra
+    nodes, digest = LAW_PINS[law]
+    monkeypatch.setattr(core, "_ISO_MAX_NODES", nodes)
+    iso = find_isomorphism(T, target)
+    assert hashlib.sha256(repr(iso).encode()).hexdigest()[:16] == digest
+    if nodes:
+        monkeypatch.setattr(core, "_ISO_MAX_NODES", nodes - 1)
+        with pytest.raises(SearchCutoffError):
+            find_isomorphism(T, target)
 
 
 # ---------------------------------------------------------------------------
