@@ -150,6 +150,13 @@ def _do_subalgebras(args, report: Report) -> None:
 
 def _do_colimit_check(args, report: Report) -> None:
     A = _load_algebra(args.input[0])
+    # the colimit theorem is about valid carriers: an invalid one would
+    # pass vacuously or fail inside the cocone machinery
+    checked = validate(A)
+    if not checked.ok:
+        v = checked.violations[0]
+        raise InvalidAlgebraError(
+            f"input fails validation: [{v.rule}] {v.message}", report=checked)
     rep = verify_colimit(A, seed=args.seed, max_apex=args.max_apex)
     report.results = {
         "cocones_checked": rep.cocones_checked,

@@ -17,7 +17,7 @@ import random
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     AmalgamError,
@@ -31,14 +31,16 @@ from .core import (
     UNDEF,
     PartialBooleanAlgebra,
     PbaMorphism,
+    _bit_positions,
     _compile_clauses,
     _count_morphisms,
+    _gather,
     _satisfies_clauses,
     atoms_of_subalgebra,
     check_morphism,
     compose,
-    enumerate_morphisms,
     generated_subalgebra,
+    maximal_cliques,
     make_pba,
     sub_algebra,
     validate,
@@ -63,16 +65,21 @@ class Cocone:
 
 
 def check_cocone(A: PartialBooleanAlgebra, P: SubalgebraPoset, c: Cocone) -> None:
-    """Raise CoconeError unless every member has a leg, each leg is a
-    morphism, and legs restrict compatibly along inclusions."""
+    """Raise CoconeError unless every member has a leg defined on all of
+    the member, each leg is a morphism, and legs restrict compatibly along
+    inclusions."""
     for member in P.members:
         if member not in c.legs:
             raise CoconeError(f"cocone lacks a leg for a member of size {len(member)}",
                               pair=(member, None))
         sub, embed = P._member_algebra(member)
         leg = c.legs[member]
-        f = PbaMorphism(sub, c.apex, tuple(leg[a] for a in embed))
-        chk = check_morphism(f)
+        try:
+            images = tuple(leg[a] for a in embed)
+        except KeyError:
+            raise CoconeError("cocone leg lacks an element of its member",
+                              pair=(member, None)) from None
+        chk = check_morphism(PbaMorphism(sub, c.apex, images))
         if not chk.ok:
             raise CoconeError(f"cocone leg is not a morphism: {chk.message}",
                               pair=(member, None))
@@ -100,17 +107,59 @@ def cocone_from_morphism(A: PartialBooleanAlgebra, f: PbaMorphism,
     return Cocone(apex=f.cod, legs=legs)
 
 
+def _generated_members(A: PartialBooleanAlgebra, P: SubalgebraPoset
+                       ) -> list[frozenset[int]]:
+    """The member each element of A generates, by element.  Built once per
+    poset, after every member's carrier, so a member that is not closed
+    raises DomainError here as it does in ``check_cocone``."""
+    table = P._cache.get("generated")
+    if table is None:
+        for member in P.members:
+            P._member_algebra(member)
+        table = P._cache["generated"] = [generated_subalgebra(A, [x])
+                                         for x in range(A.n)]
+    return table
+
+
+def _mediating_map(A: PartialBooleanAlgebra, c: Cocone,
+                   P: SubalgebraPoset) -> PbaMorphism:
+    """m(x) = the leg over the member x generates, at x."""
+    legs = c.legs
+    return PbaMorphism(A, c.apex, tuple([legs[g][x] for x, g in
+                                         enumerate(_generated_members(A, P))]))
+
+
+def _restricts_to_legs(mp: Sequence[int], c: Cocone, P: SubalgebraPoset) -> bool:
+    """Whether every member has a leg, and that leg is ``mp`` on the member."""
+    for member in P.members:
+        leg = c.legs.get(member)
+        if leg is None or any(leg.get(a) != mp[a] for a in member):
+            return False
+    return True
+
+
 def mediating_morphism(A: PartialBooleanAlgebra, c: Cocone,
                        P: SubalgebraPoset | None = None) -> PbaMorphism:
     """The unique morphism m with m ∘ i_C = leg_C for every member C,
-    computed element-wise as m(x) = leg over the subalgebra generated by x."""
+    computed element-wise as m(x) = leg over the subalgebra generated by x.
+
+    One morphism check certifies a valid cocone: once m is a morphism that
+    agrees with every leg, each leg is m restricted to its member, so it is
+    a morphism, and the legs are compatible.  Any other cocone is walked by
+    ``check_cocone``, and the first fault raises: a missing leg, a leg that
+    misses an element or is not a morphism, or legs that disagree on a
+    nested pair (CoconeError); then a mediating map that is not a morphism
+    (InvalidAlgebraError), or one that disagrees with a leg (CoconeError)."""
     P = P or boolean_subalgebras(A)
+    try:
+        m = _mediating_map(A, c, P)
+    except (KeyError, PbalgError):
+        m = None
+    if m is not None and check_morphism(m).ok and _restricts_to_legs(m.map, c, P):
+        return m
     check_cocone(A, P, c)
-    values = []
-    for x in range(A.n):
-        gen = generated_subalgebra(A, [x])
-        values.append(c.legs[gen][x])
-    m = PbaMorphism(A, c.apex, tuple(values))
+    if m is None:
+        m = _mediating_map(A, c, P)
     chk = check_morphism(m)
     if not chk.ok:
         raise InvalidAlgebraError(
@@ -128,6 +177,107 @@ def mediating_morphism(A: PartialBooleanAlgebra, c: Cocone,
 # Cocone generation and colimit verification
 # ---------------------------------------------------------------------------
 
+def _boolean_block(X: PartialBooleanAlgebra, elems: Iterable[int]
+                   ) -> tuple[list[int], list[int]]:
+    """The atoms of the block ``elems`` of X, ascending, and the element
+    joining each set of them: ``element[s]`` for the atom set with bitmask
+    ``s``.  Raises InvalidAlgebraError, naming the block, unless X's zero,
+    one, neg, comm, meet and join on the block are exactly those of the
+    Boolean algebra on its atoms."""
+    es = sorted(elems)
+    zero = X.zero
+    gather = _gather(es)
+    atoms = [a for a in es
+             if a != zero and set(gather(X.meet[a])) <= {a, zero}]
+    below = {x: sum(1 << i for i, a in enumerate(atoms) if X.meet[a][x] == a)
+             for x in es}
+    size = 1 << len(atoms)
+    if len(es) == size == len(set(below.values())):
+        element = [zero] * size
+        for x, s in below.items():
+            element[s] = x
+        full = size - 1
+        subsets = range(size)
+        block = sum(1 << x for x in es)
+        get = _gather(element)
+        # a bijection onto the atom sets that carries 0, 1, neg, meet and
+        # join to the empty set, all atoms, complement, intersection, union
+        if (element[0] == zero and element[full] == X.one
+                and all(X.comm[x] & block == block and X.neg[x] == element[full ^ s]
+                        and get(X.meet[x]) == tuple(map(element.__getitem__,
+                                                        map(s.__and__, subsets)))
+                        and get(X.join[x]) == tuple(map(element.__getitem__,
+                                                        map(s.__or__, subsets)))
+                        for x, s in below.items())):
+            return atoms, element
+    names = ", ".join(X.labels[x] for x in es)
+    raise InvalidAlgebraError(f"block {{{names}}} is not the Boolean algebra on its atoms")
+
+
+def _maximal_blocks(P: SubalgebraPoset
+                    ) -> list[tuple[frozenset[int], tuple[int, ...], int, list[int]]]:
+    """The maximal members of P in overlap-greedy order, each as (member,
+    its elements ascending, its atom count, the atom set below each of those
+    elements).  Built once per poset."""
+    blocks = P._cache.get("blocks")
+    if blocks is None:
+        # overlap-greedy ordering: each new member should share as many
+        # elements as possible with the ones already placed, so that
+        # compatibility constraints prune the assembly early
+        blocks = []
+        remaining = [P.members[i] for i in P.maximal_indices()]
+        covered: set[int] = set()
+        while remaining:
+            best = max(remaining, key=lambda m: (len(m & covered), -len(m)))
+            covered |= best
+            remaining.remove(best)
+            atoms, element = _boolean_block(P.algebra, best)
+            below = {x: s for s, x in enumerate(element)}
+            embed = tuple(sorted(best))
+            blocks.append((best, embed, len(atoms), [below[a] for a in embed]))
+        P._cache["blocks"] = blocks
+    return blocks
+
+
+def _target_blocks(B: PartialBooleanAlgebra) -> list[tuple[int, list[int]]]:
+    """Each maximal clique of B as (its atom count, its element per atom
+    set)."""
+    out = []
+    for clique in maximal_cliques(B):
+        atoms, element = _boolean_block(B, _bit_positions(clique))
+        out.append((len(atoms), element))
+    return out
+
+
+def _block_homs(k: int, subsets: Sequence[int],
+                targets: Sequence[tuple[int, list[int]]],
+                max_nodes: int) -> list[tuple[int, ...]]:
+    """Every morphism from a Boolean block with ``k`` atoms into B, as maps
+    on the block's elements (``subsets[p]``: the atom set below element p),
+    sorted.  A morphism sends the block into one block of B (``targets``:
+    each block's atom count r and its element per atom set), and there it is
+    the Boolean homomorphism of a function φ from the r atoms of that block
+    to the k atoms: x goes to the join of the atoms φ sends below x.  Each φ
+    is one node; past ``max_nodes`` this raises SearchCutoffError."""
+    if sum(k ** r for r, _ in targets) > max_nodes:
+        raise SearchCutoffError(
+            f"search too large: morphism enumeration exceeded {max_nodes} nodes",
+            limit=max_nodes)
+    size = 1 << k
+    homs = set()
+    for r, element in targets:
+        for phi in itertools.product(range(k), repeat=r):
+            pre = [0] * k  # the B-atoms sent to each atom, as a bitmask
+            for j, i in enumerate(phi):
+                pre[i] |= 1 << j
+            image = [0] * size
+            for s in range(1, size):
+                low = s & -s
+                image[s] = image[s ^ low] | pre[low.bit_length() - 1]
+            homs.add(tuple([element[image[s]] for s in subsets]))
+    return sorted(homs)
+
+
 def cocones_into(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
                  P: SubalgebraPoset | None = None,
                  max_cocones: int | None = None,
@@ -136,42 +286,33 @@ def cocones_into(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
     """All cocones over the subalgebra diagram of A into B, assembled from
     compatible families of morphisms on the maximal members.  When
     ``max_cocones`` is given and fewer cocones are wanted than exist, a
-    deterministic seeded sample is returned.  Each compatible family of
-    maps on a prefix of the members is one node of the assembly; past
-    ``max_nodes`` it raises SearchCutoffError."""
+    deterministic seeded sample is returned.
+
+    Each maximal member's Hom list is read off Boolean blocks: the member's
+    and each maximal clique of B must be the Boolean algebra on its atoms
+    (else InvalidAlgebraError), and the list is ``enumerate_morphisms`` over
+    the member's carrier, in its order.  Each function between atom sets
+    behind the list is one node, as is each compatible family of maps on a
+    prefix of the members in the assembly; past ``max_nodes``, counted
+    apart for each list and for the assembly, it raises SearchCutoffError."""
     P = P or boolean_subalgebras(A)
-    maximal = P.maximal_indices()
-    # overlap-greedy ordering: each new member should share as many elements
-    # as possible with the ones already placed, so that compatibility
-    # constraints prune the assembly early
-    ordered: list[int] = []
-    remaining = list(maximal)
-    covered: set[int] = set()
-    while remaining:
-        best = max(remaining, key=lambda i: (len(P.members[i] & covered),
-                                             -len(P.members[i])))
-        ordered.append(best)
-        covered |= P.members[best]
-        remaining.remove(best)
+    blocks = _maximal_blocks(P)
+    targets = _target_blocks(B)
     # join index: member k's Hom list grouped by the images of the elements
     # it shares with members 0..k-1, each group held as the stack entries
     # (k + 1, map) in reverse list order; ``sources[k]`` says where the maps
     # chosen for those members hold the shared elements
-    members_list = [P.members[i] for i in ordered]
-    embeds: list[tuple[int, ...]] = []
     position: dict[int, tuple[int, int]] = {}
     sources: list[list[tuple[int, int]]] = []
     index: list[dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]] = []
-    for k, member in enumerate(members_list):
-        sub, embed = P._member_algebra(member)
+    for k, (_, embed, rank, subsets) in enumerate(blocks):
         shared = [p for p, a in enumerate(embed) if a in position]
         sources.append([position[embed[p]] for p in shared])
         groups: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
-        for h in reversed(enumerate_morphisms(sub, B, max_nodes=max_nodes)):
-            key = tuple([h.map[p] for p in shared])
-            groups.setdefault(key, []).append((k + 1, h.map))
+        for h in reversed(_block_homs(rank, subsets, targets, max_nodes)):
+            key = tuple([h[p] for p in shared])
+            groups.setdefault(key, []).append((k + 1, h))
         index.append(groups)
-        embeds.append(embed)
         for p, a in enumerate(embed):
             position.setdefault(a, (k, p))
 
@@ -185,7 +326,7 @@ def cocones_into(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
     # for member k - 1) with its parent's choices still in ``chosen``; every
     # entry taken is one node, and once ``hard_cap`` cocones are found every
     # entry still pending counts as one more
-    depth = len(members_list)
+    depth = len(blocks)
     chosen: list[tuple[int, ...]] = [()] * depth
     found: list[tuple[tuple[int, ...], ...]] = []
     stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
@@ -213,8 +354,8 @@ def cocones_into(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
     # for the first maximal member that covers it
     cover = []
     for member in P.members:
-        k = next(k for k, mm in enumerate(members_list) if member <= mm)
-        where = {a: p for p, a in enumerate(embeds[k])}
+        k = next(k for k, block in enumerate(blocks) if member <= block[0])
+        where = {a: p for p, a in enumerate(blocks[k][1])}
         cover.append((member, k, [(a, where[a]) for a in member]))
     return [Cocone(apex=B, legs={member: {a: maps[k][p] for a, p in at}
                                  for member, k, at in cover})

@@ -61,15 +61,17 @@ class SubalgebraPoset:
     algebra: PartialBooleanAlgebra
     members: tuple[frozenset[int], ...]
     leq: tuple[int, ...]
-    _carriers: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
+    # tables built lazily, once per poset: member carriers keyed by member,
+    # and the tables other modules read keyed by name
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def _member_algebra(self, member: frozenset[int]
                         ) -> tuple[PartialBooleanAlgebra, tuple[int, ...]]:
         """``sub_algebra(self.algebra, member)``, built once per member."""
-        if member not in self._carriers:
-            self._carriers[member] = sub_algebra(self.algebra, member)
-        return self._carriers[member]
+        if member not in self._cache:
+            self._cache[member] = sub_algebra(self.algebra, member)
+        return self._cache[member]
 
     def index_of(self, member: frozenset[int]) -> int:
         try:

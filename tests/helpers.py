@@ -2,9 +2,10 @@
 tensor factorization criterion, a pairwise morphism-clause walk, a
 brute-force isomorphism oracle with a carrier relabelling to feed it, the
 isomorphism search as it was before its used-image mask, product-and-filter
-oracles for cocones and maximal cliques, a Bron-Kerbosch whose pivot scan
-reads every vertex, crown-shaped orders, and the point family a two-valued
-state induces on the member poset."""
+oracles for cocones and maximal cliques, the cocone walk and mediation as
+they were before one morphism check certified a cocone, a Bron-Kerbosch
+whose pivot scan reads every vertex, crown-shaped orders, and the point
+family a two-valued state induces on the member poset."""
 
 from __future__ import annotations
 
@@ -24,11 +25,13 @@ from pbalg.core import (
     _columns,
     _signature,
     atoms_of_subalgebra,
+    check_morphism,
     enumerate_morphisms,
+    generated_subalgebra,
     sub_algebra,
 )
-from pbalg.colimit import TensorResult, tensor_factorization, tensor_product
-from pbalg.errors import SearchCutoffError
+from pbalg.colimit import Cocone, TensorResult, tensor_factorization, tensor_product
+from pbalg.errors import CoconeError, InvalidAlgebraError, SearchCutoffError
 from pbalg.poset import SubalgebraPoset
 
 
@@ -414,7 +417,7 @@ def eager_find_isomorphism(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra
 
 
 # ---------------------------------------------------------------------------
-# product-and-filter oracles for cocone assembly and maximal cliques
+# oracles for cocone assembly and mediation, and for maximal cliques
 # ---------------------------------------------------------------------------
 
 def cocone_legs_by_product(P: SubalgebraPoset, B: PartialBooleanAlgebra
@@ -441,6 +444,54 @@ def cocone_legs_by_product(P: SubalgebraPoset, B: PartialBooleanAlgebra
         if all(value.setdefault(a, b) == b for leg in combo for a, b in leg.items()):
             out.append({m: {a: value[a] for a in m} for m in P.members})
     return out
+
+
+def walk_check_cocone(A: PartialBooleanAlgebra, P: SubalgebraPoset, c: Cocone) -> None:
+    """The cocone walk before its mends: each member's leg checked as a
+    morphism, then every nested member pair compared.  A leg missing an
+    element of its member raises a bare KeyError."""
+    for member in P.members:
+        if member not in c.legs:
+            raise CoconeError(f"cocone lacks a leg for a member of size {len(member)}",
+                              pair=(member, None))
+        sub, embed = P._member_algebra(member)
+        leg = c.legs[member]
+        f = PbaMorphism(sub, c.apex, tuple(leg[a] for a in embed))
+        chk = check_morphism(f)
+        if not chk.ok:
+            raise CoconeError(f"cocone leg is not a morphism: {chk.message}",
+                              pair=(member, None))
+    for s in P.members:
+        for t in P.members:
+            if s < t:
+                if any(c.legs[t][a] != c.legs[s][a] for a in s):
+                    raise CoconeError(
+                        "cocone legs disagree on a nested member pair",
+                        pair=(s, t))
+
+
+def walk_mediating_morphism(A: PartialBooleanAlgebra, c: Cocone,
+                            P: SubalgebraPoset) -> PbaMorphism:
+    """Mediation as a full cocone walk: ``walk_check_cocone``, then m(x)
+    from the subalgebra generated by x, one generated subalgebra per
+    element, then a morphism check and a comparison with every leg."""
+    walk_check_cocone(A, P, c)
+    values = []
+    for x in range(A.n):
+        gen = generated_subalgebra(A, [x])
+        values.append(c.legs[gen][x])
+    m = PbaMorphism(A, c.apex, tuple(values))
+    chk = check_morphism(m)
+    if not chk.ok:
+        raise InvalidAlgebraError(
+            f"mediating map is not a morphism ({chk.message}); "
+            "the input diagram is not a valid partial Boolean algebra")
+    for member in P.members:
+        for a in member:
+            if m.map[a] != c.legs[member][a]:
+                raise CoconeError("mediating map disagrees with a cocone leg",
+                                  pair=(member, None))
+    return m
 
 
 def maximal_cliques_by_subsets(adj: list[int], n: int) -> list[int]:

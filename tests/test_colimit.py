@@ -3,15 +3,18 @@ coproducts, equalizers, free products, tensor products."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
+import random
 
 import pytest
 
-from helpers import cocone_legs_by_product
+from helpers import cocone_legs_by_product, walk_mediating_morphism
 from pbalg import colimit
 from pbalg.core import (
     PbaMorphism,
+    atoms_of_subalgebra,
     boolean_algebra,
     check_morphism,
     compose,
@@ -20,6 +23,7 @@ from pbalg.core import (
     identity_morphism,
     is_isomorphic,
     mo_lattice,
+    sub_algebra,
     trivial_algebra,
     validate,
 )
@@ -36,9 +40,15 @@ from pbalg.colimit import (
     tensor_product,
     verify_colimit,
 )
-from pbalg.corpus import chain_of_triangles, small_corpus
+from pbalg.corpus import chain_of_triangles, generated_corpus, small_corpus
 from pbalg.formats import serialize_algebra
-from pbalg.errors import CoconeError, DomainError, SearchCutoffError
+from pbalg.errors import (
+    CoconeError,
+    DomainError,
+    InvalidAlgebraError,
+    PbalgError,
+    SearchCutoffError,
+)
 from pbalg.poset import boolean_subalgebras
 
 
@@ -97,6 +107,81 @@ def test_incoherent_cocone_rejected(mo2):
         mediating_morphism(mo2, Cocone(apex=b2, legs=legs))
 
 
+def test_leg_missing_an_element_is_a_cocone_error(mo2):
+    legs = {member: {a: a for a in member}
+            for member in boolean_subalgebras(mo2).members}
+    short = max(legs, key=len)
+    del legs[short][max(short)]
+    with pytest.raises(CoconeError, match="lacks an element") as info:
+        mediating_morphism(mo2, Cocone(apex=mo2, legs=legs))
+    assert info.value.pair == (short, None)
+
+
+def _outcome(call):
+    """The map a mediation returns, or the type, message and pair of what
+    it raises."""
+    try:
+        return ("map", call().map)
+    except KeyError:
+        return ("KeyError",)
+    except PbalgError as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "pair", None))
+
+
+def _corrupted(c, B, rng):
+    """Three seeded corruptions of a cocone: one leg value changed, one leg
+    dropped, one element dropped from one leg."""
+    members = sorted(c.legs, key=lambda m: (len(m), sorted(m)))
+    legs = {m: dict(leg) for m, leg in c.legs.items()}
+    member = rng.choice(members)
+    a = rng.choice(sorted(member))
+    legs[member][a] = rng.choice([v for v in range(B.n) if v != legs[member][a]])
+    yield "value", Cocone(apex=B, legs=legs)
+    legs = dict(c.legs)
+    del legs[rng.choice(members)]
+    yield "leg", Cocone(apex=B, legs=legs)
+    legs = {m: dict(leg) for m, leg in c.legs.items()}
+    member = rng.choice(members)
+    del legs[member][rng.choice(sorted(member))]
+    yield "element", Cocone(apex=B, legs=legs)
+
+
+def test_mediation_matches_full_cocone_walk(mo2):
+    # one morphism check certifies a valid cocone, and any other is walked
+    # as before: the same map, or the same exception, message and pair; a
+    # leg missing an element was a bare KeyError and is now a CoconeError
+    # naming the first such member
+    rng = random.Random(17)
+    targets = [boolean_algebra(1), boolean_algebra(2), boolean_algebra(3), mo2]
+    carriers = small_corpus() + [chain_of_triangles(2)] + generated_corpus(50, 24)
+    kinds = {"value": 0, "leg": 0, "element": 0}
+    outcomes = set()
+    for A in carriers:
+        P = boolean_subalgebras(A)
+        for B in targets:
+            cocones = cocones_into(A, B, P, max_cocones=3, rng=rng)
+            if B is targets[0] and A.n > 1:
+                cocones.append(inclusion_cocone(A, P))
+            for c in cocones:
+                want = _outcome(lambda: walk_mediating_morphism(A, c, P))
+                assert want[0] == "map"
+                assert _outcome(lambda: mediating_morphism(A, c, P)) == want
+                for kind, bad in itertools.chain(*(_corrupted(c, c.apex, rng)
+                                                   for _ in range(2))):
+                    want = _outcome(lambda: walk_mediating_morphism(A, bad, P))
+                    if want == ("KeyError",):
+                        short = next(m for m in P.members
+                                     if m in bad.legs and not m <= bad.legs[m].keys())
+                        want = ("CoconeError", "cocone leg lacks an element of its member",
+                                (short, None))
+                    assert _outcome(lambda: mediating_morphism(A, bad, P)) == want, kind
+                    kinds[kind] += 1
+                    outcomes.add(want[0] if want[0] == "map" else want[1].split(":")[0])
+    assert kinds == dict.fromkeys(kinds, 1390)
+    assert {"cocone leg is not a morphism", "cocone lacks a leg for a member of size 2",
+            "cocone leg lacks an element of its member"} <= outcomes
+
+
 def test_cocones_biject_with_morphisms(mo2, mo3):
     # by universality, cocones into B correspond exactly to morphisms A -> B
     for A in [mo2, mo3, boolean_algebra(2)]:
@@ -135,6 +220,92 @@ def test_cocone_budget_is_exact(mo2, mo3, dom, cod, cap, nodes):
     with pytest.raises(SearchCutoffError) as info:
         cocones_into(A, B, max_cocones=cap, max_nodes=nodes - 1)
     assert info.value.limit == nodes - 1
+
+
+def test_block_hom_lists_match_enumeration(mo2, mo3):
+    # each maximal member's Hom list, read off the Boolean blocks, is the
+    # morphism enumeration over the member's carrier, in its order
+    targets = [boolean_algebra(1), boolean_algebra(2), boolean_algebra(3), mo2, mo3]
+    blocks = [colimit._target_blocks(B) for B in targets]
+    pairs = 0
+    for A in small_corpus() + generated_corpus(50, 24):
+        for member, embed, k, subsets in colimit._maximal_blocks(boolean_subalgebras(A)):
+            sub, sub_embed = sub_algebra(A, member)
+            assert sub_embed == embed and k == len(atoms_of_subalgebra(A, member))
+            for B, target in zip(targets, blocks):
+                got = colimit._block_homs(k, subsets, target, 2_000_000)
+                assert got == [h.map for h in enumerate_morphisms(sub, B)]
+                pairs += 1
+    assert pairs == 715
+
+
+def test_boolean_block_of_a_boolean_algebra():
+    atoms, element = colimit._boolean_block(boolean_algebra(3), range(8))
+    assert atoms == [1, 2, 4] and element == list(range(8))
+    assert colimit._boolean_block(boolean_algebra(3), [0, 3, 4, 7]) == ([3, 4], [0, 3, 4, 7])
+    assert colimit._boolean_block(trivial_algebra(), [0]) == ([], [0])
+
+
+def _with(A, **cells):
+    """A copy of A with table cells replaced: ``meet=[(a, b, v)]`` sets
+    both (a, b) and (b, a), ``neg=[(a, v)]`` one entry, ``comm=[(a, b)]``
+    clears the pair."""
+    meet, join = [list(r) for r in A.meet], [list(r) for r in A.join]
+    neg, comm = list(A.neg), list(A.comm)
+    for table, name in ((meet, "meet"), (join, "join")):
+        for a, b, v in cells.get(name, ()):
+            table[a][b] = table[b][a] = v
+    for a, v in cells.get("neg", ()):
+        neg[a] = v
+    for a, b in cells.get("comm", ()):
+        comm[a] &= ~(1 << b)
+        comm[b] &= ~(1 << a)
+    return dataclasses.replace(A, neg=tuple(neg), comm=tuple(comm),
+                               meet=tuple(map(tuple, meet)), join=tuple(map(tuple, join)))
+
+
+@pytest.mark.parametrize("cells, elems", [
+    pytest.param({"meet": [(1, 2, 1)]}, range(4), id="meet"),
+    pytest.param({"join": [(2, 2, 3)]}, range(4), id="join"),
+    pytest.param({"neg": [(1, 1)]}, range(4), id="neg"),
+    pytest.param({"comm": [(1, 2)]}, range(4), id="comm"),
+    pytest.param({}, [0, 1, 3], id="not-a-power-of-two"),
+    pytest.param({}, [0, 1, 2, 7], id="not-closed"),
+])
+def test_non_boolean_block_is_rejected(cells, elems):
+    X = _with(boolean_algebra(3) if max(elems) > 3 else boolean_algebra(2), **cells)
+    with pytest.raises(InvalidAlgebraError, match=r"block \{"):
+        colimit._boolean_block(X, elems)
+
+
+def test_non_boolean_block_in_either_carrier_is_rejected(mo2):
+    # a join cell inside a block of mo2 or of the target is wrong; the
+    # subalgebra poset of mo2 does not read joins of an atom with itself
+    bad_a = _with(mo2, join=[(2, 2, 1)])
+    assert not validate(bad_a).ok
+    assert boolean_subalgebras(bad_a).members == boolean_subalgebras(mo2).members
+    with pytest.raises(InvalidAlgebraError, match=r"block \{0, 1, x0, x0'\}"):
+        cocones_into(bad_a, boolean_algebra(2))
+    bad_b = _with(boolean_algebra(2), meet=[(1, 2, 1)])
+    with pytest.raises(InvalidAlgebraError, match=r"block \{00, 01, 10, 11\}"):
+        cocones_into(mo2, bad_b)
+
+
+def test_block_hom_lists_respect_max_nodes(mo3):
+    # one node per function between atom sets, over every block of B,
+    # counted apart from the assembly: bool3's block into bool3 and the
+    # three blocks of mo3 takes 27 + 3 * 9 nodes; the three maps onto
+    # {0, 1} lie in every block of mo3 and are listed once
+    k, subsets = colimit._maximal_blocks(boolean_subalgebras(boolean_algebra(3)))[0][2:]
+    target = colimit._target_blocks(boolean_algebra(3)) + colimit._target_blocks(mo3)
+    assert len(colimit._block_homs(k, subsets, target, 54)) == 27 + 3 * 6 + 3
+    with pytest.raises(SearchCutoffError, match="morphism enumeration") as info:
+        colimit._block_homs(k, subsets, target, 53)
+    assert info.value.limit == 53
+    # bool1 into mo3: three nodes for its one map, and two assembly nodes
+    assert len(cocones_into(boolean_algebra(1), mo3, max_nodes=3)) == 1
+    with pytest.raises(SearchCutoffError, match="morphism enumeration"):
+        cocones_into(boolean_algebra(1), mo3, max_nodes=2)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +358,34 @@ def test_verify_filtered_cross_check_can_fail(mo2, monkeypatch):
     rep = verify_colimit(mo2, targets=[B])
     assert rep.cocones_checked == 4 and not rep.ok
     assert sum(not e.unique for e in rep.entries) == 1
+
+
+# seeds 0 and 3, digests taken before cocones were read off Boolean blocks
+COLIMIT_REPORT_DIGESTS = {
+    0: "0e57e9f148233341", 1: "e4e92482fdd1cc13", 2: "447df4d949b3b159",
+    3: "ba7cbc1ae1c629b5", 4: "b2cb91a5a40a53b7", 5: "b2cb91a5a40a53b7",
+    6: "967690e2bcac47df", 7: "967690e2bcac47df", 8: "967690e2bcac47df",
+    9: "f3d914da79fe38c6", 10: "f3d914da79fe38c6", 11: "f3d914da79fe38c6",
+    12: "e3ed7003e5982d26", 13: "e3ed7003e5982d26", 14: "e3ed7003e5982d26",
+    15: "69389039c49b6c1c", 16: "967690e2bcac47df", 17: "967690e2bcac47df",
+    18: "967690e2bcac47df", 19: "b2cb91a5a40a53b7", 20: "b2cb91a5a40a53b7",
+    21: "69389039c49b6c1c", 22: "1874780acdaf0398", 23: "967690e2bcac47df",
+    24: "967690e2bcac47df", 25: "967690e2bcac47df", 26: "1874780acdaf0398",
+    27: "967690e2bcac47df", 28: "967690e2bcac47df", 29: "967690e2bcac47df",
+    30: "ba7cbc1ae1c629b5", 31: "ba7cbc1ae1c629b5", 32: "b2cb91a5a40a53b7",
+    33: "447df4d949b3b159", 34: "ba7cbc1ae1c629b5", 35: "1874780acdaf0398",
+    36: "ba7cbc1ae1c629b5", 37: "ba7cbc1ae1c629b5", 38: "447df4d949b3b159",
+    39: "ba7cbc1ae1c629b5", 40: "ba7cbc1ae1c629b5", 41: "ba7cbc1ae1c629b5",
+    42: "ba7cbc1ae1c629b5", 43: "ba7cbc1ae1c629b5", 44: "1874780acdaf0398",
+    45: "ba7cbc1ae1c629b5", 46: "b2cb91a5a40a53b7", 47: "ba7cbc1ae1c629b5",
+    48: "ba7cbc1ae1c629b5", 49: "ba7cbc1ae1c629b5",
+}
+
+
+def test_verify_colimit_reports_are_pinned():
+    for i, A in enumerate(generated_corpus(50, 24)):
+        text = "".join(repr(verify_colimit(A, seed=s)) + "\n" for s in (0, 3))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == COLIMIT_REPORT_DIGESTS[i], i
 
 
 def test_verify_rejects_large_apex(mo2):

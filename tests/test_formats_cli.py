@@ -278,6 +278,73 @@ def test_colimit_check_bool2():
     assert json.loads(out)["results"]["ok"]
 
 
+@pytest.mark.parametrize("name, old, new, rule", [
+    pytest.param("bool2.pba", "neg 3 2 1 0\n", "neg 3 0 1 0\n", "neg_involution",
+                 id="bool2-neg"),
+    pytest.param("mo3.pba", "neg 1 0 3 2 5 4 7 6\n",
+                 "neg 1 0 3 2 5 4 7 6\ncomm 2 5\nmeet 2 5 7\n", "op_defined_iff_comm",
+                 id="mo3-meet"),
+])
+def test_colimit_check_rejects_invalid_carrier(tmp_path, name, old, new, rule):
+    # validation runs first and its first violation is the error; the
+    # bool2 file used to end in a KeyError traceback
+    with open(corpus_path(name), encoding="utf-8") as fh:
+        text = fh.read()
+    assert old in text
+    path = tmp_path / name
+    path.write_text(text.replace(old, new))
+    code, out = run_cli("colimit-check", str(path))
+    data = json.loads(out)
+    assert code == 1 and not data["passed"]
+    assert data["error"].startswith(f"input fails validation: [{rule}] ")
+
+
+def test_colimit_check_does_not_pass_invalid_carrier(monkeypatch):
+    # mo3 with meet[2][5] = 7 on a pair that is not commeasurable (no file
+    # can hold it: the parser rejects a dangling meet line) used to pass
+    import dataclasses
+
+    from pbalg import cli
+
+    A = cli._load_algebra(corpus_path("mo3.pba"))
+    meet = [list(row) for row in A.meet]
+    meet[2][5] = 7
+    bad = dataclasses.replace(A, meet=tuple(map(tuple, meet)))
+    monkeypatch.setattr(cli, "_load_algebra", lambda path: bad)
+    code, out = run_cli("colimit-check", corpus_path("mo3.pba"))
+    data = json.loads(out)
+    assert code == 1 and not data["passed"]
+    assert data["error"].startswith("input fails validation: [op_defined_iff_comm] ")
+
+
+# seeds 0 and 3, digests of the report with the input path replaced by the
+# file name, taken before cocones were read off Boolean blocks
+COLIMIT_CHECK_DIGESTS = {
+    "bool1.pba": ("58980c9ad1e3a105", "2bb2381867a4cd5d"),
+    "bool2.pba": ("11de62e16f248e33", "6f291856eceb913c"),
+    "bool3.pba": ("2bbbce8c20757378", "65983bc5d1559752"),
+    "bool4.pba": ("b8544e131edf1266", "f7f143cb30c1acdb"),
+    "cabello18.rays": ("824ffa754a6fbea2", "9abb9809ad676424"),
+    "mo2.pba": ("58adc5886d3c6d87", "91d07a5573849ea9"),
+    "mo3.pba": ("e4ec5e92dc1c0c11", "bd6f5aa6c38824c7"),
+    "pauli_zx.mseed": ("d46cf2400ce5aa95", "bc01064f3639e164"),
+    "peres24.rays": ("af45c3c59b493d1c", "240297360f18c628"),
+    "triangle_chain.blocks": ("c6e620b009585816", "5ebbf39a33fb6441"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLIMIT_CHECK_DIGESTS))
+def test_colimit_check_report_is_pinned(name):
+    assert sorted(COLIMIT_CHECK_DIGESTS) == sorted(corpus_names())
+    path = corpus_path(name)
+    digests = []
+    for seed in ("0", "3"):
+        _, out = run_cli("colimit-check", path, "--seed", seed)
+        digests.append(hashlib.sha256(out.replace(path.encode(), name.encode())
+                                      ).hexdigest()[:16])
+    assert tuple(digests) == COLIMIT_CHECK_DIGESTS[name]
+
+
 def test_reports_byte_stable():
     for verb, path in [("ks-search", corpus_path("mo2.pba")),
                        ("subalgebras", corpus_path("bool3.pba")),
