@@ -214,28 +214,31 @@ def _boolean_block(X: PartialBooleanAlgebra, elems: Iterable[int]
     raise InvalidAlgebraError(f"block {{{names}}} is not the Boolean algebra on its atoms")
 
 
-def _maximal_blocks(P: SubalgebraPoset
-                    ) -> list[tuple[frozenset[int], tuple[int, ...], int, list[int]]]:
-    """The maximal members of P in overlap-greedy order, each as (member,
-    its elements ascending, its atom count, the atom set below each of those
-    elements).  Built once per poset."""
-    blocks = P._cache.get("blocks")
-    if blocks is None:
-        # overlap-greedy ordering: each new member should share as many
-        # elements as possible with the ones already placed, so that
-        # compatibility constraints prune the assembly early
-        blocks = []
-        remaining = [P.members[i] for i in P.maximal_indices()]
-        covered: set[int] = set()
-        while remaining:
-            best = max(remaining, key=lambda m: (len(m & covered), -len(m)))
-            covered |= best
-            remaining.remove(best)
-            atoms, element = _boolean_block(P.algebra, best)
-            below = {x: s for s, x in enumerate(element)}
-            embed = tuple(sorted(best))
-            blocks.append((best, embed, len(atoms), [below[a] for a in embed]))
-        P._cache["blocks"] = blocks
+# a maximal block of A: (its elements ascending, its atom count, the atom
+# set below each of those elements)
+_Block = tuple[tuple[int, ...], int, list[int]]
+
+
+def _maximal_blocks(A: PartialBooleanAlgebra) -> list[_Block]:
+    """The maximal blocks of A (the maximal cliques of commeasurability,
+    which are its maximal Boolean members) in overlap-greedy order.  Raises
+    InvalidAlgebraError unless every block is the Boolean algebra on its
+    atoms."""
+    # overlap-greedy ordering: each new block should share as many elements
+    # as possible with the ones already placed, so that compatibility
+    # constraints prune the assembly early; ties go to the first block in
+    # the member order of the subalgebra poset (size, then element tuple)
+    remaining = sorted((tuple(_bit_positions(c)) for c in maximal_cliques(A)),
+                       key=lambda t: (len(t), t))
+    blocks = []
+    covered: set[int] = set()
+    while remaining:
+        embed = max(remaining, key=lambda t: (len(covered.intersection(t)), -len(t)))
+        covered.update(embed)
+        remaining.remove(embed)
+        atoms, element = _boolean_block(A, embed)
+        below = {x: s for s, x in enumerate(element)}
+        blocks.append((embed, len(atoms), [below[a] for a in embed]))
     return blocks
 
 
@@ -278,34 +281,27 @@ def _block_homs(k: int, subsets: Sequence[int],
     return sorted(homs)
 
 
-def cocones_into(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
-                 P: SubalgebraPoset | None = None,
-                 max_cocones: int | None = None,
-                 rng: random.Random | None = None,
-                 max_nodes: int = 2_000_000) -> list[Cocone]:
-    """All cocones over the subalgebra diagram of A into B, assembled from
-    compatible families of morphisms on the maximal members.  When
-    ``max_cocones`` is given and fewer cocones are wanted than exist, a
-    deterministic seeded sample is returned.
+def _assemble(blocks: Sequence[_Block], B: PartialBooleanAlgebra, limit: int | None,
+              max_nodes: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every compatible family of morphisms from the ``blocks`` of
+    ``_maximal_blocks`` into B, each as its tuple of per-block maps (on each
+    block's elements ascending), in the order of ``itertools.product`` over
+    the blocks' Hom lists; with ``limit``, only the first ``limit``.
 
-    Each maximal member's Hom list is read off Boolean blocks: the member's
-    and each maximal clique of B must be the Boolean algebra on its atoms
-    (else InvalidAlgebraError), and the list is ``enumerate_morphisms`` over
-    the member's carrier, in its order.  Each function between atom sets
-    behind the list is one node, as is each compatible family of maps on a
-    prefix of the members in the assembly; past ``max_nodes``, counted
-    apart for each list and for the assembly, it raises SearchCutoffError."""
-    P = P or boolean_subalgebras(A)
-    blocks = _maximal_blocks(P)
+    Each function between atom sets behind a Hom list is one node, as is
+    each compatible family of maps on a prefix of the blocks; past
+    ``max_nodes``, counted apart for each list and for the assembly, it
+    raises SearchCutoffError.  Once ``limit`` families are found, every
+    prefix still pending counts as one more node."""
     targets = _target_blocks(B)
-    # join index: member k's Hom list grouped by the images of the elements
-    # it shares with members 0..k-1, each group held as the stack entries
+    # join index: block k's Hom list grouped by the images of the elements
+    # it shares with blocks 0..k-1, each group held as the stack entries
     # (k + 1, map) in reverse list order; ``sources[k]`` says where the maps
-    # chosen for those members hold the shared elements
+    # chosen for those blocks hold the shared elements
     position: dict[int, tuple[int, int]] = {}
     sources: list[list[tuple[int, int]]] = []
     index: list[dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]] = []
-    for k, (_, embed, rank, subsets) in enumerate(blocks):
+    for k, (embed, rank, subsets) in enumerate(blocks):
         shared = [p for p, a in enumerate(embed) if a in position]
         sources.append([position[embed[p]] for p in shared])
         groups: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
@@ -316,16 +312,8 @@ def cocones_into(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
         for p, a in enumerate(embed):
             position.setdefault(a, (k, p))
 
-    # with sampling requested, enumerate a deterministic prefix several times
-    # larger than the sample and draw from it; unbounded enumeration of the
-    # full cocone space can explode combinatorially
-    hard_cap = None
-    if max_cocones is not None:
-        hard_cap = max_cocones if rng is None else max(64 * max_cocones, 512)
     # one explicit stack of compatible prefixes, each entry (k, map chosen
-    # for member k - 1) with its parent's choices still in ``chosen``; every
-    # entry taken is one node, and once ``hard_cap`` cocones are found every
-    # entry still pending counts as one more
+    # for block k - 1) with its parent's choices still in ``chosen``
     depth = len(blocks)
     chosen: list[tuple[int, ...]] = [()] * depth
     found: list[tuple[tuple[int, ...], ...]] = []
@@ -333,7 +321,7 @@ def cocones_into(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
     nodes = 0
     while stack:
         k, cand = stack.pop()
-        capped = hard_cap is not None and len(found) >= hard_cap
+        capped = limit is not None and len(found) >= limit
         nodes += (1 + len(stack)) if capped else 1
         if nodes > max_nodes:
             raise SearchCutoffError(
@@ -347,19 +335,53 @@ def cocones_into(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
             found.append(tuple(chosen))
             continue
         stack.extend(index[k].get(tuple([chosen[j][p] for j, p in sources[k]]), ()))
+    return found
 
+
+def _flatten(blocks: Sequence[_Block], maps: Sequence[tuple[int, ...]], n: int) -> list[int]:
+    """The element map of one assembled family: the blocks cover every
+    element, and their maps agree where they overlap."""
+    m = [0] * n
+    for (embed, _, _), h in zip(blocks, maps):
+        for a, b in zip(embed, h):
+            m[a] = b
+    return m
+
+
+def cocones_into(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
+                 P: SubalgebraPoset | None = None,
+                 max_cocones: int | None = None,
+                 rng: random.Random | None = None,
+                 max_nodes: int = 2_000_000) -> list[Cocone]:
+    """All cocones over the subalgebra diagram of A into B, assembled from
+    compatible families of morphisms on the maximal blocks.  When
+    ``max_cocones`` is given and fewer cocones are wanted than exist, a
+    deterministic seeded sample is returned.
+
+    Each block's Hom list is read off Boolean blocks: each block of A and
+    of B must be the Boolean algebra on its atoms (else
+    InvalidAlgebraError), and the list is ``enumerate_morphisms`` over the
+    block's carrier, in its order.  Each function between atom sets behind a
+    list is one node, as is each compatible family of maps on a prefix of
+    the blocks; past ``max_nodes``, counted apart for each list and for the
+    assembly, it raises SearchCutoffError."""
+    P = P or boolean_subalgebras(A)
+    blocks = P._cache.get("blocks")
+    if blocks is None:
+        blocks = P._cache["blocks"] = _maximal_blocks(A)
+    # with sampling requested, enumerate a deterministic prefix several times
+    # larger than the sample and draw from it; unbounded enumeration of the
+    # full cocone space can explode combinatorially
+    hard_cap = None
+    if max_cocones is not None:
+        hard_cap = max_cocones if rng is None else max(64 * max_cocones, 512)
+    found = _assemble(blocks, B, hard_cap, max_nodes)
     if max_cocones is not None and rng is not None and len(found) > max_cocones:
         found = rng.sample(found, max_cocones)
-    # legs only for the cocones returned: each member reads the map chosen
-    # for the first maximal member that covers it
-    cover = []
-    for member in P.members:
-        k = next(k for k, block in enumerate(blocks) if member <= block[0])
-        where = {a: p for p, a in enumerate(blocks[k][1])}
-        cover.append((member, k, [(a, where[a]) for a in member]))
-    return [Cocone(apex=B, legs={member: {a: maps[k][p] for a, p in at}
-                                 for member, k, at in cover})
-            for maps in found]
+    # legs only for the cocones returned
+    flat = (_flatten(blocks, maps, A.n) for maps in found)
+    return [Cocone(apex=B, legs={member: {a: m[a] for a in member} for member in P.members})
+            for m in flat]
 
 
 @dataclass(frozen=True)

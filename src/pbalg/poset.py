@@ -87,9 +87,9 @@ class SubalgebraPoset:
         return self.index_of(frozenset({self.algebra.zero, self.algebra.one}))
 
     def maximal_indices(self) -> list[int]:
-        n = len(self.members)
-        return [i for i in range(n)
-                if all(not self.contains(i, j) for j in range(n) if j != i)]
+        """Members contained in no other member: those whose ``leq`` row is
+        their own bit."""
+        return [i for i, row in enumerate(self.leq) if row == 1 << i]
 
     def hasse_edges(self) -> list[tuple[int, int]]:
         """Cover pairs (i, j) with member i directly below member j."""

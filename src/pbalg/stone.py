@@ -3,10 +3,11 @@ members, the limit of spectra (compatible point families, each determined
 by its two-valued valuation), the Boolean reflection with its unit, and
 Kochen-Specker detection.
 
-The limit is computed by constraint propagation over blocks (one true atom
-per maximal Boolean block, consistent across shared elements), which is
-exponentially smaller than backtracking over the whole member poset; the
-poset-limit definition is kept as a cross-check oracle.
+A point of the limit is a morphism into the two-element algebra, so the
+limit is the ``boolean_algebra(1)`` case of the cocone assembly over the
+maximal blocks (one true atom per block, consistent across shared
+elements), which is exponentially smaller than backtracking over the whole
+member poset; the poset-limit definition is kept as a cross-check oracle.
 """
 
 from __future__ import annotations
@@ -18,14 +19,12 @@ from .errors import DomainError, SearchCutoffError
 from .core import (
     PartialBooleanAlgebra,
     PbaMorphism,
-    _bits,
     atoms_of_subalgebra,
     boolean_algebra,
     check_morphism,
     generated_subalgebra,
-    maximal_cliques,
 )
-from .colimit import coproduct
+from .colimit import _assemble, _flatten, _maximal_blocks, coproduct
 from .poset import SubalgebraPoset, boolean_subalgebras
 
 
@@ -84,68 +83,18 @@ def stone_limit(A: PartialBooleanAlgebra,
     (one 0/1 entry per element), in ascending order.  The point at a member
     is the member's atom valued 1.
 
-    Search runs per block: each maximal Boolean block makes exactly one of
-    its atoms true, consistently on shared elements.  Forced blocks are
-    assigned by unit propagation, and the search branches on the block with
-    the fewest possible atoms.  Every visited state is a node; past
-    ``max_nodes`` it raises SearchCutoffError.  With ``max_solutions`` it
-    stops after that many points (which ones then depends on the search
-    order), so ``max_solutions=1`` decides emptiness.
+    A two-valued state is a morphism into ``boolean_algebra(1)``, that is a
+    cocone into it, so the points are the cocone assembly's families on the
+    maximal blocks (one true atom per block, consistent on shared
+    elements), with its nodes: past ``max_nodes`` it raises
+    SearchCutoffError, as ``cocones_into`` does.  With ``max_solutions`` it
+    stops after that many points (the first in assembly order), so
+    ``max_solutions=1`` decides emptiness.
     """
-    # per block, one (pos, off) pair per atom: the block elements that atom
-    # makes true and false
-    options = []
-    for clique in maximal_cliques(A):
-        blk = frozenset(_bits(clique))
-        row = []
-        for p in atoms_of_subalgebra(A, blk):
-            pos = sum(1 << x for x in blk if A.meet[p][x] == p)
-            row.append((pos, clique ^ pos))
-        options.append(row)
-
-    def propagate(T: int, F: int, todo: int):
-        """Assign forced blocks until none is left.  A state is a true mask,
-        a false mask and the mask of open blocks; an atom stays possible
-        while it makes nothing true that is false, or false that is true.
-        Returns None on a block with no possible atom, else the state and
-        the open block with the fewest possible atoms (None when closed)."""
-        while True:
-            forced, branch = False, None
-            for b in _bits(todo):
-                live = [(pos, off) for pos, off in options[b]
-                        if not (T & off or F & pos)]
-                if not live:
-                    return None
-                if len(live) == 1:
-                    T, F, todo = T | live[0][0], F | live[0][1], todo ^ (1 << b)
-                    forced = True
-                elif branch is None or len(live) < len(branch[1]):
-                    branch = (b, live)
-            if not forced:
-                return T, F, todo, branch
-
-    # explicit-stack search; solutions are kept as true masks
-    solutions: list[int] = []
-    stack = [(0, 0, (1 << len(options)) - 1)]
-    nodes = 0
-    while stack and (max_solutions is None or len(solutions) < max_solutions):
-        nodes += 1
-        if nodes > max_nodes:
-            raise SearchCutoffError(
-                f"search too large: Stone limit exceeded {max_nodes} nodes",
-                limit=max_nodes)
-        state = propagate(*stack.pop())
-        if state is None:
-            continue
-        T, F, todo, branch = state
-        if branch is None:
-            solutions.append(T)
-        else:
-            b, live = branch
-            stack.extend((T | pos, F | off, todo ^ (1 << b))
-                         for pos, off in reversed(live))
-    # a degenerate carrier (0 = 1) has blocks without atoms, hence no point
-    return tuple(sorted(tuple((T >> x) & 1 for x in range(A.n)) for T in solutions))
+    blocks = _maximal_blocks(A)
+    found = _assemble(blocks, boolean_algebra(1), max_solutions, max_nodes)
+    # a degenerate carrier (0 = 1) has a block without atoms, hence no point
+    return tuple(sorted(tuple(_flatten(blocks, maps, A.n)) for maps in found))
 
 
 def stone_limit_poset_oracle(A: PartialBooleanAlgebra,
@@ -153,7 +102,7 @@ def stone_limit_poset_oracle(A: PartialBooleanAlgebra,
                              ) -> tuple[tuple[tuple[frozenset[int], int], ...], ...]:
     """The limit computed directly from its definition: backtracking over
     members with the restriction-map compatibility constraints.  Slow; used
-    to cross-check the block search."""
+    to cross-check the block assembly."""
     P = P or boolean_subalgebras(A)
     members = list(P.members)
     spectra = {m: stone_spectrum(A, m).points for m in members}

@@ -10,10 +10,12 @@ from pbalg.core import (
     boolean_algebra,
     from_orthomodular,
     generated_subalgebra,
+    maximal_cliques,
     mo_lattice,
     paste_blocks,
     trivial_algebra,
 )
+from pbalg.corpus import generated_corpus, small_corpus
 from pbalg.poset import (
     boolean_subalgebras,
     boolean_subalgebras_oracle,
@@ -180,6 +182,20 @@ def test_poset_isomorphism_refutes_equal_profiles():
     assert not _poset_isomorphic(cycle, squares)
     assert _poset_isomorphic(cycle, shuffled)
     assert _poset_isomorphic(squares, squares)
+
+
+def test_maximal_indices_match_pairwise_scan_and_cliques(mo2):
+    # the leq-row reading agrees with the pairwise definition, and the
+    # maximal members are the maximal cliques of commeasurability
+    for A in [mo2, *small_corpus(), *generated_corpus(50, 24), boolean_algebra(5)]:
+        P = boolean_subalgebras(A)
+        n = len(P.members)
+        pairwise = [i for i in range(n)
+                    if all(not P.contains(i, j) for j in range(n) if j != i)]
+        assert P.maximal_indices() == pairwise
+        cliques = {frozenset(i for i in range(A.n) if c >> i & 1)
+                   for c in maximal_cliques(A)}
+        assert {P.members[i] for i in pairwise} == cliques
 
 
 def test_report_text_mentions_members(mo2):

@@ -4,6 +4,8 @@ and Kochen-Specker detection."""
 from __future__ import annotations
 
 import inspect
+import itertools
+import math
 import sys
 
 import pytest
@@ -32,6 +34,7 @@ from pbalg.corpus import (
     small_corpus,
 )
 from pbalg.errors import DomainError, SearchCutoffError
+from pbalg.matrixalg import rays_to_pba
 from pbalg.poset import boolean_subalgebras
 from pbalg.stone import (
     boolean_reflection,
@@ -130,12 +133,16 @@ def test_limit_of_paper_algebra_has_four_points(mo2):
 
 
 def test_limit_matches_two_valued_morphisms(mo2, ks18):
+    # the limit shares the cocone assembly, so its independent oracles are
+    # the element-level morphism kernel and the member-poset backtracker
     carriers = [mo2, from_orthomodular(mo_lattice(3)),
                 paste_blocks(block_hypergraph([["a", "b", "c"], ["c", "d", "e"]])),
-                *small_corpus(), *generated_corpus(50, 24), ks18]
+                *small_corpus(), *generated_corpus(50, 24), chain_of_triangles(3), ks18]
     for A in carriers:
         homs = enumerate_morphisms(A, boolean_algebra(1))
         assert list(stone_limit(A)) == sorted(h.map for h in homs)
+        if A is not ks18:
+            assert len(stone_limit(A)) == len(stone_limit_poset_oracle(A))
         wrapped = two_valued_morphisms(A)
         assert all(check_morphism(w).ok for w in wrapped)
         assert sorted(w.map for w in wrapped) == sorted(h.map for h in homs)
@@ -169,11 +176,30 @@ def test_limit_of_terminal_is_empty():
     assert stone_limit(trivial_algebra()) == ()
 
 
-@pytest.mark.parametrize("name, nodes", [("cabello18", 29), ("mo3", 15)])
+def _peres33_rays() -> list[tuple[float, float, float]]:
+    """Peres's 33 rays in dimension 3: every coordinate permutation and sign
+    pattern of (1,0,0), (0,1,1), (0,1,sqrt2) and (1,1,sqrt2), up to the
+    overall sign."""
+    r2 = math.sqrt(2.0)
+    rays = set()
+    for base in ((1.0, 0.0, 0.0), (0.0, 1.0, 1.0), (0.0, 1.0, r2), (1.0, 1.0, r2)):
+        for perm in set(itertools.permutations(base)):
+            for signs in itertools.product((1.0, -1.0), repeat=3):
+                v = tuple(s * x + 0.0 for s, x in zip(signs, perm))
+                if next(x for x in v if x) > 0:
+                    rays.add(v)
+    return sorted(rays)
+
+
+@pytest.mark.parametrize("name, nodes", [
+    ("cabello18", 467), ("peres33", 1939), ("mo3", 15)])
 def test_stone_limit_budget_is_exact(ks18, name, nodes):
-    # one node per visited search state: the Cabello-18 closure is refuted
-    # in 29, and mo3's eight points take 15
-    A = ks18 if name == "cabello18" else from_orthomodular(mo_lattice(3))
+    # one node per compatible prefix of the block assembly into bool1: the
+    # Cabello-18 closure is refuted in 467, the Peres-33 closure in 1939,
+    # and mo3's eight points take 15
+    A = {"cabello18": lambda: ks18,
+         "peres33": lambda: rays_to_pba(_peres33_rays(), 3).algebra,
+         "mo3": lambda: from_orthomodular(mo_lattice(3))}[name]()
     expected = stone_limit(A)
     assert stone_limit(A, max_nodes=nodes) == expected
     with pytest.raises(SearchCutoffError) as info:
