@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -29,6 +28,7 @@ from .errors import (
 )
 from .core import (
     UNDEF,
+    _SMALL_MAX,
     PartialBooleanAlgebra,
     PbaMorphism,
     _bit_positions,
@@ -187,8 +187,9 @@ def _boolean_block(X: PartialBooleanAlgebra, elems: Iterable[int]
     es = sorted(elems)
     zero = X.zero
     gather = _gather(es)
-    atoms = [a for a in es
-             if a != zero and set(gather(X.meet[a])) <= {a, zero}]
+    # an atom's meet row over the block holds only itself and zero
+    atoms = [a for a in es if a != zero
+             and (row := gather(X.meet[a])).count(a) + row.count(zero) == len(es)]
     below = {x: sum(1 << i for i, a in enumerate(atoms) if X.meet[a][x] == a)
              for x in es}
     size = 1 << len(atoms)
@@ -197,19 +198,28 @@ def _boolean_block(X: PartialBooleanAlgebra, elems: Iterable[int]
         for x, s in below.items():
             element[s] = x
         full = size - 1
-        subsets = range(size)
         block = sum(1 << x for x in es)
-        get = _gather(element)
         # a bijection onto the atom sets that carries 0, 1, neg, meet and
         # join to the empty set, all atoms, complement, intersection, union
         if (element[0] == zero and element[full] == X.one
                 and all(X.comm[x] & block == block and X.neg[x] == element[full ^ s]
-                        and get(X.meet[x]) == tuple(map(element.__getitem__,
-                                                        map(s.__and__, subsets)))
-                        and get(X.join[x]) == tuple(map(element.__getitem__,
-                                                        map(s.__or__, subsets)))
                         for x, s in below.items())):
-            return atoms, element
+            if len(es) > _SMALL_MAX:
+                from ._rowbands import transport_rows
+                mask_at: list[int | None] = [None] * (X.n + 1)
+                for x, s in below.items():
+                    mask_at[x] = s
+                if next(transport_rows(X, es, mask_at), None) is None:
+                    return atoms, element
+            else:
+                subsets = range(size)
+                get = _gather(element)
+                if all(get(X.meet[x]) == tuple(map(element.__getitem__,
+                                                   map(s.__and__, subsets)))
+                       and get(X.join[x]) == tuple(map(element.__getitem__,
+                                                       map(s.__or__, subsets)))
+                       for x, s in below.items()):
+                    return atoms, element
     names = ", ".join(X.labels[x] for x in es)
     raise InvalidAlgebraError(f"block {{{names}}} is not the Boolean algebra on its atoms")
 
@@ -717,69 +727,32 @@ def tensor_product(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
     zero_idx = root_index[zero_root]
     one_idx = root_index[one_root]
 
-    def write_row(table: list[list[int]], e: int, local: list[int],
-                  values: list[int], fresh: bool, name: str) -> None:
-        """table[e][local[k]] = values[k] for every k.  A row no earlier
-        object wrote, or one that already holds exactly these values, is
-        settled at C speed; any other goes cell by cell and raises at a
-        conflicting entry."""
-        row = table[e]
-        if fresh:
-            deque(map(row.__setitem__, local, values), 0)
-            return
-        if list(map(row.__getitem__, local)) == values:
-            return
-        for f, v in zip(local, values):
-            if row[f] == UNDEF:
-                row[f] = v
-            elif row[f] != v:
-                raise AmalgamError(f"{name} ill-defined on the tensor carrier")
-
     # Every smaller object's entries are images of a maximal object's
     # entries under a Boolean homomorphism, so the maximal objects write
-    # every distinct entry and meet every conflict.  Each writes its rows
-    # whole: a row is fresh when no earlier object wrote it and the object
-    # puts its masks on distinct elements.
-    neg = [UNDEF] * n
+    # every distinct entry and meet every conflict.  Each one's elements
+    # (local[mask] for each submask) are pairwise commeasurable.
+    objects_local = []
     comm_rows = [0] * n
-    meet = [[UNDEF] * n for _ in range(n)]
-    join = [[UNDEF] * n for _ in range(n)]
-    written: set[int] = set()
     for obj in maximal:
-        size = 1 << len(pair_lists[obj])
         start = slot(obj, 0)
-        local = list(map(root_index.__getitem__, root_of[start:start + size]))
-        full = size - 1
-        for mask in range(size):
-            e = local[mask]
-            ne = local[full ^ mask]
-            if neg[e] == UNDEF:
-                neg[e] = ne
-            elif neg[e] != ne:
-                raise AmalgamError("negation ill-defined on the tensor carrier")
+        local = list(map(root_index.__getitem__,
+                         root_of[start:start + (1 << len(pair_lists[obj]))]))
         span = 0
         for e in local:
             span |= 1 << e
-        distinct = len(set(local)) == size
-        masks = range(size)
-        for ma in masks:
-            ea = local[ma]
-            comm_rows[ea] |= span
-            fresh = distinct and ea not in written
-            write_row(meet, ea, local,
-                      list(map(local.__getitem__, map(ma.__and__, masks))), fresh, "meet")
-            write_row(join, ea, local,
-                      list(map(local.__getitem__, map(ma.__or__, masks))), fresh, "join")
-        written.update(local)
+        for e in local:
+            comm_rows[e] |= span
+        objects_local.append(local)
+    from ._rowbands import tensor_tables
+    neg, meet, join = tensor_tables(n, objects_local)
 
     labels = [f"t{i}" for i in range(n)]
     labels[zero_idx] = "0"
     if one_idx != zero_idx:
         labels[one_idx] = "1"
     T = PartialBooleanAlgebra(
-        n=n, zero=zero_idx, one=one_idx, neg=tuple(neg), comm=tuple(comm_rows),
-        meet=tuple(tuple(r) for r in meet), join=tuple(tuple(r) for r in join),
-        labels=tuple(labels))
+        n=n, zero=zero_idx, one=one_idx, neg=neg, comm=tuple(comm_rows),
+        meet=meet, join=join, labels=tuple(labels))
     report = validate(T)
     if not report.ok:
         raise AmalgamError(f"tensor carrier fails validation: {report}")

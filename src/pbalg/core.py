@@ -385,6 +385,12 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+# Carriers and blocks of more than this many elements decide their clean
+# rows in numpy, in pbalg._rowbands, and hand blocks to the transport check;
+# smaller ones keep the pure-Python row tests and never import numpy.
+_SMALL_MAX = 32
+
+
 def _gather(elems: list[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
     """A C-speed getter of the cells of a table row at ``elems``, as a tuple."""
     if len(elems) == 1:
@@ -429,7 +435,7 @@ def _boolean_axiom_violations(A: PartialBooleanAlgebra, elems: list[int]) -> lis
     if out:
         return out  # closure failed; deeper axioms would read bad cells
 
-    if len(elems) > 32:
+    if len(elems) > _SMALL_MAX:
         return _boolean_transport_violations(A, elems)
 
     meet = A.meet
@@ -502,17 +508,12 @@ def _boolean_transport_violations(A: PartialBooleanAlgebra, elems: list[int]) ->
         if A.neg[t] not in inside or mask_at[A.neg[t]] != full ^ mask_at[t]:
             return [Violation("complement", (t,),
                               f"neg({lab[t]}) is not the atomwise complement")]
-    # one row at a time: a row whose cells all carry the atom intersection
-    # and union is clean, and only the other rows are walked cell by cell,
-    # so the first bad cell and its report are the same
-    to_mask = mask_at.__getitem__
-    gather = _gather(elems)
-    mask_list = list(map(to_mask, elems))
-    for a in elems:
+    # only a row whose cells do not all carry the atom intersection and
+    # union is walked cell by cell, so the first bad cell and its report
+    # are the same
+    from ._rowbands import transport_rows
+    for a in transport_rows(A, elems, mask_at):
         ma = mask_at[a]
-        if (list(map(to_mask, gather(A.meet[a]))) == list(map(ma.__and__, mask_list))
-                and list(map(to_mask, gather(A.join[a]))) == list(map(ma.__or__, mask_list))):
-            continue
         for b in elems:
             if mask_at[A.meet[a][b]] != ma & mask_at[b]:
                 return [Violation("clique_not_boolean", (a, b),
@@ -553,19 +554,23 @@ def validate(A: PartialBooleanAlgebra) -> ValidationReport:
     if A.neg[A.zero] != A.one:
         out.append(Violation("neg_zero", (A.zero,), "neg(0) != 1"))
 
-    # Each row a decides the pairs (a, b), b >= a, at C speed: comm agrees
-    # with its transpose, each table's defined cells are the comm row, and
-    # each table agrees with its column a, so on a clean row the cells
-    # (b, a) are defined exactly where (a, b) are.  Only a row that fails is
-    # walked cell by cell, and it reads definedness at (a, b) and (b, a).
-    cols = _columns(A.comm)
-    for a in range(n):
-        comm_a = A.comm[a] >> a
-        if (cols[a] >> a == comm_a
-                and all(_flag_mask(map(UNDEF.__ne__, table[a][a:])) == comm_a
-                        and table[a][a:] == tuple(map(itemgetter(a), table[a:]))
-                        for table in (A.meet, A.join))):
-            continue
+    # Each row a decides the pairs (a, b), b >= a, at once: comm agrees with
+    # its transpose, each table's defined cells are the comm row, and each
+    # table agrees with its column a, so on a clean row the cells (b, a) are
+    # defined exactly where (a, b) are.  Only a row that fails is walked cell
+    # by cell, and it reads definedness at (a, b) and (b, a).  Above
+    # _SMALL_MAX elements the rows are decided in numpy bands.
+    if n > _SMALL_MAX:
+        from ._rowbands import pair_rows
+        rows = pair_rows(A)
+    else:
+        cols = _columns(A.comm)
+        rows = (a for a in range(n)
+                if not (cols[a] >> a == A.comm[a] >> a
+                        and all(_flag_mask(map(UNDEF.__ne__, table[a][a:])) == A.comm[a] >> a
+                                and table[a][a:] == tuple(map(itemgetter(a), table[a:]))
+                                for table in (A.meet, A.join))))
+    for a in rows:
         for b in range(a, n):
             if A.comm_pair(a, b) != A.comm_pair(b, a):
                 out.append(Violation("comm_symmetric", (a, b),

@@ -4,8 +4,9 @@ brute-force isomorphism oracle with a carrier relabelling to feed it, the
 isomorphism search as it was before its used-image mask, product-and-filter
 oracles for cocones and maximal cliques, the cocone walk and mediation as
 they were before one morphism check certified a cocone, a Bron-Kerbosch
-whose pivot scan reads every vertex, crown-shaped orders, and the point
-family a two-valued state induces on the member poset."""
+whose pivot scan reads every vertex, crown-shaped orders, the point
+family a two-valued state induces on the member poset, and validation and
+the tensor tables walked cell by cell."""
 
 from __future__ import annotations
 
@@ -21,6 +22,9 @@ from pbalg.core import (
     MorphismCheck,
     PartialBooleanAlgebra,
     PbaMorphism,
+    ValidationReport,
+    Violation,
+    _bits,
     _candidate_classes,
     _columns,
     _signature,
@@ -28,10 +32,11 @@ from pbalg.core import (
     check_morphism,
     enumerate_morphisms,
     generated_subalgebra,
+    maximal_cliques,
     sub_algebra,
 )
 from pbalg.colimit import Cocone, TensorResult, tensor_factorization, tensor_product
-from pbalg.errors import CoconeError, InvalidAlgebraError, SearchCutoffError
+from pbalg.errors import AmalgamError, CoconeError, InvalidAlgebraError, SearchCutoffError
 from pbalg.poset import SubalgebraPoset
 
 
@@ -555,3 +560,147 @@ def point_family(P: SubalgebraPoset, valuation: tuple[int, ...]
         assert len(true_atoms) == 1, f"{len(true_atoms)} true atoms at {sorted(member)}"
         family[member] = true_atoms[0]
     return family
+
+
+# ---------------------------------------------------------------------------
+# validation and tensor tables, walked cell by cell
+# ---------------------------------------------------------------------------
+
+def _walk_transport_violations(A: PartialBooleanAlgebra, elems: list[int]
+                               ) -> list[Violation]:
+    """The transport check of a block of more than 32 elements, every meet
+    and join row walked cell by cell."""
+    lab = A.labels
+    inside = set(elems)
+    nonzero = [a for a in elems if a != A.zero]
+    atoms = [a for a in nonzero
+             if not any(b != a and A.meet[a][b] == b for b in nonzero)]
+    k = len(atoms)
+    if len(elems) != 1 << k:
+        return [Violation("clique_not_boolean", tuple(elems[:3]),
+                          f"clique of size {len(elems)} has {k} atoms")]
+    mask_at: list[int | None] = [None] * (A.n + 1)
+    seen_mask: dict[int, int] = {}
+    for t in elems:
+        m = sum(1 << i for i, a in enumerate(atoms) if A.meet[a][t] == a)
+        if m in seen_mask:
+            return [Violation("clique_not_boolean", (seen_mask[m], t),
+                              f"elements {lab[seen_mask[m]]} and {lab[t]} sit "
+                              "over the same atom set")]
+        seen_mask[m] = t
+        mask_at[t] = m
+    full = (1 << k) - 1
+    for t in elems:
+        if A.neg[t] not in inside or mask_at[A.neg[t]] != full ^ mask_at[t]:
+            return [Violation("complement", (t,),
+                              f"neg({lab[t]}) is not the atomwise complement")]
+    for a in elems:
+        for b in elems:
+            if mask_at[A.meet[a][b]] != mask_at[a] & mask_at[b]:
+                return [Violation("clique_not_boolean", (a, b),
+                                  f"meet({lab[a]}, {lab[b]}) is not the atom "
+                                  "intersection")]
+            if mask_at[A.join[a][b]] != mask_at[a] | mask_at[b]:
+                return [Violation("clique_not_boolean", (a, b),
+                                  f"join({lab[a]}, {lab[b]}) is not the atom "
+                                  "union")]
+    return []
+
+
+def _walk_block_violations(A: PartialBooleanAlgebra, elems: list[int]) -> list[Violation]:
+    """A block's closure pass, cell by cell, then the pure-Python axiom
+    loops of core up to 32 elements and the walked transport check above."""
+    lab = A.labels
+    inside = set(elems)
+    out: list[Violation] = []
+    first: set[str] = set()
+
+    def report(rule, witness, message):
+        if rule not in first:
+            first.add(rule)
+            out.append(Violation(rule, witness, message))
+
+    for a in elems:
+        if A.neg[a] not in inside:
+            report("clique_closed_neg", (a,), f"clique not closed under neg at {lab[a]}")
+    for i, a in enumerate(elems):
+        for b in elems[i:]:
+            m, j = A.meet[a][b], A.join[a][b]
+            if m == UNDEF or j == UNDEF:
+                report("op_undefined_on_comm", (a, b),
+                       f"meet/join undefined on commeasurable pair ({lab[a]}, {lab[b]})")
+            elif m not in inside or j not in inside:
+                report("clique_closed_ops", (a, b),
+                       f"clique not closed under meet/join at ({lab[a]}, {lab[b]})")
+    if out:
+        return out
+    if len(elems) > 32:
+        return _walk_transport_violations(A, elems)
+    return core._boolean_axiom_violations(A, elems)
+
+
+def walk_validate(A: PartialBooleanAlgebra) -> ValidationReport:
+    """validate with every row of the pair walk and of the transport check
+    walked cell by cell: the reference for the row tests, which only pick
+    the rows to walk."""
+    out: list[Violation] = []
+    lab = A.labels
+    n = A.n
+    for a in range(n):
+        if not A.comm_pair(a, a):
+            out.append(Violation("comm_reflexive", (a,), f"{lab[a]} not commeasurable with itself"))
+        if not A.comm_pair(A.zero, a):
+            out.append(Violation("comm_zero", (a,), f"0 not commeasurable with {lab[a]}"))
+        if not A.comm_pair(A.one, a):
+            out.append(Violation("comm_one", (a,), f"1 not commeasurable with {lab[a]}"))
+        if not A.comm_pair(a, A.neg[a]):
+            out.append(Violation("comm_neg", (a,), f"{lab[a]} not commeasurable with its negation"))
+        if A.neg[A.neg[a]] != a:
+            out.append(Violation("neg_involution", (a,),
+                                 f"neg(neg({lab[a]})) = {lab[A.neg[A.neg[a]]]} != {lab[a]}"))
+    if A.neg[A.zero] != A.one:
+        out.append(Violation("neg_zero", (A.zero,), "neg(0) != 1"))
+    for a in range(n):
+        for b in range(a, n):
+            if A.comm_pair(a, b) != A.comm_pair(b, a):
+                out.append(Violation("comm_symmetric", (a, b),
+                                     f"comm asymmetric on ({lab[a]}, {lab[b]})"))
+            for name, table in (("meet", A.meet), ("join", A.join)):
+                for p, q in ((a, b), (b, a)):
+                    defined = A.comm_pair(p, q)
+                    if (table[p][q] != UNDEF) != defined:
+                        word = "undefined on commeasurable" if defined else "defined on non-commeasurable"
+                        out.append(Violation("op_defined_iff_comm", (p, q),
+                                             f"{name} {word} pair ({lab[p]}, {lab[q]})"))
+                        break
+                if table[a][b] != table[b][a]:
+                    out.append(Violation(f"{name}_commutative", (a, b),
+                                         f"{name} not commutative on ({lab[a]}, {lab[b]})"))
+    if not any(v.rule.startswith(("comm_", "neg_", "op_defined")) for v in out):
+        for clique in maximal_cliques(A):
+            out.extend(_walk_block_violations(A, list(_bits(clique))))
+    return ValidationReport(tuple(out))
+
+
+def walk_tensor_tables(n: int, objects: Iterable[Sequence[int]]):
+    """neg, meet and join written from each object's element list, one row
+    and one cell at a time, as tensor_product wrote them before its
+    scatter: each cell compared with its value so far, AmalgamError at the
+    first conflict."""
+    neg = [UNDEF] * n
+    meet = [[UNDEF] * n for _ in range(n)]
+    join = [[UNDEF] * n for _ in range(n)]
+    for local in objects:
+        full = len(local) - 1
+        for mask, e in enumerate(local):
+            if neg[e] not in (UNDEF, local[full ^ mask]):
+                raise AmalgamError("negation ill-defined on the tensor carrier")
+            neg[e] = local[full ^ mask]
+        for ma, e in enumerate(local):
+            for name, table, op in (("meet", meet, int.__and__), ("join", join, int.__or__)):
+                for mb, f in enumerate(local):
+                    v = local[op(ma, mb)]
+                    if table[e][f] not in (UNDEF, v):
+                        raise AmalgamError(f"{name} ill-defined on the tensor carrier")
+                    table[e][f] = v
+    return tuple(neg), tuple(map(tuple, meet)), tuple(map(tuple, join))

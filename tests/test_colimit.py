@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from helpers import cocone_legs_by_product, walk_mediating_morphism
+from helpers import cocone_legs_by_product, walk_mediating_morphism, walk_tensor_tables
+from pbalg._rowbands import tensor_tables
 from pbalg import colimit
 from pbalg.core import (
     PbaMorphism,
@@ -43,6 +44,7 @@ from pbalg.colimit import (
 from pbalg.corpus import chain_of_triangles, generated_corpus, small_corpus
 from pbalg.formats import serialize_algebra
 from pbalg.errors import (
+    AmalgamError,
     CoconeError,
     DomainError,
     InvalidAlgebraError,
@@ -244,6 +246,9 @@ def test_boolean_block_of_a_boolean_algebra():
     assert atoms == [1, 2, 4] and element == list(range(8))
     assert colimit._boolean_block(boolean_algebra(3), [0, 3, 4, 7]) == ([3, 4], [0, 3, 4, 7])
     assert colimit._boolean_block(trivial_algebra(), [0]) == ([], [0])
+    # past 32 elements the transport row kernel reads the meet and join rows
+    assert colimit._boolean_block(boolean_algebra(6), range(64)) == (
+        [1, 2, 4, 8, 16, 32], list(range(64)))
 
 
 def _with(A, **cells):
@@ -271,9 +276,15 @@ def _with(A, **cells):
     pytest.param({"comm": [(1, 2)]}, range(4), id="comm"),
     pytest.param({}, [0, 1, 3], id="not-a-power-of-two"),
     pytest.param({}, [0, 1, 2, 7], id="not-closed"),
+    pytest.param({"meet": [(5, 9, 0)]}, range(64), id="large-meet"),
+    pytest.param({"join": [(5, 9, 15)]}, range(64), id="large-join"),
+    pytest.param({"meet": [(9, 9, 1)]}, range(64), id="large-meet-diagonal"),
+    pytest.param({"join": [(62, 63, -1)]}, range(64), id="large-join-undefined"),
+    pytest.param({"neg": [(5, 5)]}, range(64), id="large-neg"),
+    pytest.param({"comm": [(5, 9)]}, range(64), id="large-comm"),
 ])
 def test_non_boolean_block_is_rejected(cells, elems):
-    X = _with(boolean_algebra(3) if max(elems) > 3 else boolean_algebra(2), **cells)
+    X = _with(boolean_algebra(max(elems).bit_length()), **cells)
     with pytest.raises(InvalidAlgebraError, match=r"block \{"):
         colimit._boolean_block(X, elems)
 
@@ -681,6 +692,59 @@ def test_tensor_product_is_pinned(pair):
         hashlib.sha256(repr((T.kappa_a.map, T.kappa_b.map, T.atom_pairs)).encode()
                        ).hexdigest()[:16])
     assert digests == TENSOR_DIGESTS[pair]
+
+
+def test_tensor_digests_cover_small_pairs_and_laws():
+    # the pins above hold every ordered pair of the small corpus (the unit
+    # laws T(bool1, A) among them) and every square law T(bool a, bool b)
+    # the benchmark's hom sweep checks, up to 256 elements
+    names = ("bool1", "bool2", "bool3", "mo2", "mo3")
+    squares = [(1, 4), (4, 1), (1, 5), (5, 1), (2, 3), (3, 2), (1, 6), (6, 1), (2, 4)]
+    assert set(TENSOR_DIGESTS) == ({f"{a}-{b}" for a in names for b in names}
+                                   | {f"bool{a}-bool{b}" for a, b in squares})
+
+
+def test_tensor_cells_share_one_int_per_element():
+    # each cell of T's tables references the one int object of its element
+    # (or UNDEF), as a table built by ndarray.tolist() would not: 512
+    # elements, most of them past the interpreter's small-int cache
+    T = tensor_product(boolean_algebra(3), boolean_algebra(3)).algebra
+    assert T.n == 512
+    assert len({id(v) for row in T.meet + T.join for v in row}) <= T.n + 1
+
+
+def _tables_or_error(build, n, objects):
+    try:
+        return build(n, objects)
+    except AmalgamError as e:
+        return str(e)
+
+
+def test_tensor_tables_match_cell_walk():
+    # seeded element lists of up to three grid objects on small carriers,
+    # three in four with negation kept consistent by one involution so that
+    # meet and join conflicts arise, within an object too: the scatter gives
+    # the walk's tables, or raises the walk's first error
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(600):
+        n = rng.randint(2, 8)
+        order = rng.sample(range(n), n)
+        neg = list(range(n))
+        for x, y in zip(order[::2], order[1::2]):
+            neg[x], neg[y] = y, x
+        objects = []
+        for _ in range(rng.randint(1, 3)):
+            size = 1 << rng.randint(0, 3)
+            local = [rng.randrange(n) for _ in range(size)]
+            if rng.random() < 0.75:
+                for m in range(size // 2):
+                    local[size - 1 - m] = neg[local[m]]
+            objects.append(local)
+        got = _tables_or_error(tensor_tables, n, objects)
+        assert got == _tables_or_error(walk_tensor_tables, n, objects), objects
+        seen.add(got.split()[0] if isinstance(got, str) else "tables")
+    assert seen == {"tables", "negation", "meet", "join"}
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ generated subalgebras, morphisms."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import inspect
 import itertools
@@ -22,6 +23,7 @@ from helpers import (
     eager_isomorphism_search,
     maximal_cliques_by_subsets,
     relabel,
+    walk_validate,
 )
 from pbalg import core
 from pbalg.colimit import tensor_product
@@ -62,7 +64,7 @@ from pbalg.core import (
     _isomorphism_search,
     _satisfies_clauses,
 )
-from pbalg.corpus import generated_corpus, mo3_algebra, small_corpus
+from pbalg.corpus import cabello18_algebra, generated_corpus, mo3_algebra, small_corpus
 from pbalg.poset import _poset_isomorphic
 from pbalg.errors import (
     DomainError,
@@ -232,6 +234,46 @@ def test_clique_pass_stops_undefined_cell_below_diagonal(name):
     assert [(v.rule, v.witness) for v in _boolean_axiom_violations(A, [0, 1, 2, 3])] == [
         ("op_undefined_on_comm", (3, 2))]
     assert not extension_clause_oracle(A)
+
+
+def _one_cell_corruptions(A: PartialBooleanAlgebra, rng: random.Random, count: int):
+    """``count`` seeded cells of meet or join, each set to UNDEF and to one
+    other value (the latter also at both (a, b) and (b, a), which keeps the
+    table symmetric and reaches the block checks), and ``count`` seeded comm
+    bits, each flipped one way."""
+    for _ in range(count):
+        name, a, b = rng.choice(("meet", "join")), rng.randrange(A.n), rng.randrange(A.n)
+        value = getattr(A, name)[a][b]
+        other = rng.choice([v for v in range(A.n) if v != value])
+        if value != UNDEF:
+            yield _corrupt(A, [(name, a, b, UNDEF)])
+        yield _corrupt(A, [(name, a, b, other)])
+        yield _corrupt(A, [(name, a, b, other), (name, b, a, other)])
+    for _ in range(count):
+        a, b = rng.randrange(A.n), rng.randrange(A.n)
+        comm = list(A.comm)
+        comm[a] ^= 1 << b
+        yield dataclasses.replace(A, comm=tuple(comm))
+
+
+def test_validate_matches_cell_walk_on_one_cell_corruptions():
+    # the row tests only pick the rows to walk, in pure Python up to 32
+    # elements and in numpy bands above: on carriers and blocks on both
+    # sides of that size the full report equals the walk of every row
+    carriers = [*small_corpus()[2:], boolean_algebra(6),
+                tensor_product(boolean_algebra(2), boolean_algebra(3)).algebra,
+                cabello18_algebra()]
+    assert [A.n for A in carriers] == [8, 6, 8, 64, 64, 140]
+    rng = random.Random(19)
+    checked = 0
+    try:
+        for A, count in zip(carriers, (40, 40, 40, 40, 40, 15)):
+            for X in _one_cell_corruptions(A, rng, count):
+                assert validate(X) == walk_validate(X), (A.n, checked)
+                checked += 1
+    finally:
+        core.maximal_cliques.cache_clear()
+    assert checked > 800
 
 
 def test_undefined_entry_read_is_an_error(mo2):
