@@ -71,39 +71,21 @@ def transport_rows(A: PartialBooleanAlgebra, elems: Sequence[int],
     gather = itemgetter(*elems)
     for r0, r1 in _bands(len(elems), len(elems)):
         band = elems[r0:r1]
-        if len(elems) == A.n:  # the block is the carrier, ascending
-            rows = A.meet[r0:r1], A.join[r0:r1]
-        else:
-            rows = ([gather(table[a]) for a in band] for table in (A.meet, A.join))
-        meet, join = (masks[np.array(r, np.intp)] for r in rows)
+        meet, join = (masks[np.array([gather(table[a]) for a in band], np.intp)]
+                      for table in (A.meet, A.join))
         ma = own[r0:r1, None]
         bad = ((meet != ma & own) | (join != ma | own)).any(1)
         yield from (band[i] for i in np.flatnonzero(bad).tolist())
 
 
-def _scatter(table: np.ndarray, cells, values: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """Write ``values`` to ``table[cells]``; return the cells' earlier
-    values and where a write conflicts with one of them or with another
-    write to the same cell."""
+def _scatter(table: np.ndarray, cells, values: np.ndarray) -> bool:
+    """Write ``values`` to ``table[cells]``; return whether a write
+    conflicts with a cell's earlier value or with another write to the
+    same cell."""
     old = table[cells]
     table[cells] = values
-    return old, ((old != UNDEF) & (old != values)) | (table[cells] != values)
-
-
-def _walk_conflict_rows(old: np.ndarray, cells: np.ndarray, values: np.ndarray
-                        ) -> np.ndarray:
-    """Per row of a band of an object's writes (``cells``: each write's
-    flat cell index; ``old``: the cells before the band), whether a walk of
-    the rows and cells in mask order, comparing each write with the cell's
-    value so far, meets a conflict in it."""
-    flat = cells.ravel()
-    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-    before = old.ravel()
-    # before its first conflict a cell holds its earlier value, or the value
-    # of its first write in this object
-    so_far = np.where(before != UNDEF, before, values.ravel()[first][inverse])
-    return (values.ravel() != so_far).reshape(values.shape).any(1)
+    return bool((((old != UNDEF) & (old != values))
+                 | (table[cells] != values)).any())
 
 
 def tensor_tables(n: int, objects: Iterable[Sequence[int]]
@@ -113,8 +95,8 @@ def tensor_tables(n: int, objects: Iterable[Sequence[int]]
     each maximal grid object in turn: ``local[mask]`` is the element of
     each submask, so row ``local[a]`` holds ``local[a & b]`` and
     ``local[a | b]`` at ``local[b]``.  A cell written twice with different
-    values raises AmalgamError, naming negation, else the table whose row
-    comes first in mask order (meet before join in one row).  Each cell of
+    values raises AmalgamError, naming negation, else meet if the
+    conflicting band's meet writes conflict, else join.  Each cell of
     the returned rows is one shared int object per element."""
     neg = np.full(n, UNDEF, np.int32)
     meet = np.full((n, n), UNDEF, np.int32)
@@ -122,23 +104,17 @@ def tensor_tables(n: int, objects: Iterable[Sequence[int]]
     for local in objects:
         local = np.array(local)
         masks = np.arange(len(local))
-        if _scatter(neg, local, local[masks[-1] ^ masks])[1].any():
+        if _scatter(neg, local, local[masks[-1] ^ masks]):
             raise AmalgamError("negation ill-defined on the tensor carrier")
         # a band of the object's rows at a time, both tables: the index and
-        # value arrays stay within the band bound, and the first band with a
-        # conflict holds the walk's first one
+        # value arrays stay within the band bound
         for r0, r1 in _bands(len(local), len(local)):
             cells = np.ix_(local[r0:r1], local)
             rows = masks[r0:r1, None]
-            writes = [(values, *_scatter(table, cells, values))
-                      for table, values in ((meet, local[rows & masks]),
-                                            (join, local[rows | masks]))]
-            if any(bad.any() for *_, bad in writes):
-                ids = local[r0:r1, None] * n + local
-                in_meet, in_join = (_walk_conflict_rows(old, ids, values)
-                                    for values, old, _ in writes)
-                name = "meet" if in_meet[np.argmax(in_meet | in_join)] else "join"
-                raise AmalgamError(f"{name} ill-defined on the tensor carrier")
+            for name, table, values in (("meet", meet, local[rows & masks]),
+                                        ("join", join, local[rows | masks])):
+                if _scatter(table, cells, values):
+                    raise AmalgamError(f"{name} ill-defined on the tensor carrier")
     objs = np.array([*range(n), UNDEF], object)
 
     def rows(table: np.ndarray) -> tuple[tuple[int, ...], ...]:
