@@ -45,7 +45,7 @@ from .core import (
     sub_algebra,
     validate,
 )
-from .poset import SubalgebraPoset, boolean_subalgebras
+from .poset import boolean_subalgebras
 
 
 # ---------------------------------------------------------------------------
@@ -54,123 +54,86 @@ from .poset import SubalgebraPoset, boolean_subalgebras
 
 @dataclass(frozen=True)
 class Cocone:
-    """A family of maps out of the Boolean subalgebra diagram into an apex:
-    one leg per member, given element-wise on the member's carrier."""
+    """A cocone over the Boolean subalgebra diagram of A into an apex, given
+    by its maps on the maximal blocks of A, which cover A and so fix it:
+    ``maps[block]`` lists the images of ``block``'s elements (ascending, the
+    key) in that order.  A member's leg is the map of a block holding it,
+    restricted to the member."""
 
     apex: PartialBooleanAlgebra
-    legs: Mapping[frozenset[int], Mapping[int, int]]
+    maps: Mapping[tuple[int, ...], Sequence[int]]
 
-    def leg(self, member: frozenset[int]) -> Mapping[int, int]:
-        return self.legs[member]
-
-
-def check_cocone(A: PartialBooleanAlgebra, P: SubalgebraPoset, c: Cocone) -> None:
-    """Raise CoconeError unless every member has a leg defined on all of
-    the member, each leg is a morphism, and legs restrict compatibly along
-    inclusions."""
-    for member in P.members:
-        if member not in c.legs:
-            raise CoconeError(f"cocone lacks a leg for a member of size {len(member)}",
-                              pair=(member, None))
-        sub, embed = P._member_algebra(member)
-        leg = c.legs[member]
-        try:
-            images = tuple(leg[a] for a in embed)
-        except KeyError:
-            raise CoconeError("cocone leg lacks an element of its member",
-                              pair=(member, None)) from None
-        chk = check_morphism(PbaMorphism(sub, c.apex, images))
-        if not chk.ok:
-            raise CoconeError(f"cocone leg is not a morphism: {chk.message}",
-                              pair=(member, None))
-    for s in P.members:
-        for t in P.members:
-            if s < t:
-                if any(c.legs[t][a] != c.legs[s][a] for a in s):
-                    raise CoconeError(
-                        "cocone legs disagree on a nested member pair",
-                        pair=(s, t))
+    def leg(self, member: frozenset[int]) -> dict[int, int]:
+        """The leg on ``member``, read off the first block map whose block
+        holds it; KeyError if no block does."""
+        for block, h in self.maps.items():
+            if member.issubset(block):
+                return {a: b for a, b in zip(block, h) if a in member}
+        raise KeyError(member)
 
 
-def inclusion_cocone(A: PartialBooleanAlgebra, P: SubalgebraPoset | None = None) -> Cocone:
+def _block_keys(A: PartialBooleanAlgebra) -> list[tuple[int, ...]]:
+    """The maximal blocks of A as a cocone's keys, in ``maximal_cliques``
+    order."""
+    return [tuple(_bit_positions(q)) for q in maximal_cliques(A)]
+
+
+def inclusion_cocone(A: PartialBooleanAlgebra) -> Cocone:
     """The tautological cocone: every leg is the inclusion into A itself."""
-    P = P or boolean_subalgebras(A)
-    legs = {member: {a: a for a in member} for member in P.members}
-    return Cocone(apex=A, legs=legs)
+    return Cocone(apex=A, maps={block: block for block in _block_keys(A)})
 
 
-def cocone_from_morphism(A: PartialBooleanAlgebra, f: PbaMorphism,
-                         P: SubalgebraPoset | None = None) -> Cocone:
-    """Restrict a morphism out of A to every member of the diagram."""
-    P = P or boolean_subalgebras(A)
-    legs = {member: {a: f.map[a] for a in member} for member in P.members}
-    return Cocone(apex=f.cod, legs=legs)
+def cocone_from_morphism(A: PartialBooleanAlgebra, f: PbaMorphism) -> Cocone:
+    """Restrict a morphism out of A to every maximal block."""
+    return Cocone(apex=f.cod, maps={block: tuple([f.map[a] for a in block])
+                                    for block in _block_keys(A)})
 
 
-def _generated_members(A: PartialBooleanAlgebra, P: SubalgebraPoset
-                       ) -> list[frozenset[int]]:
-    """The member each element of A generates, by element.  Built once per
-    poset, after every member's carrier, so a member that is not closed
-    raises DomainError here as it does in ``check_cocone``."""
-    table = P._cache.get("generated")
-    if table is None:
-        for member in P.members:
-            P._member_algebra(member)
-        table = P._cache["generated"] = [generated_subalgebra(A, [x])
-                                         for x in range(A.n)]
-    return table
+def mediating_morphism(A: PartialBooleanAlgebra, c: Cocone) -> PbaMorphism:
+    """The unique morphism m with m ∘ i_C = leg_C for every member C.
 
-
-def _mediating_map(A: PartialBooleanAlgebra, c: Cocone,
-                   P: SubalgebraPoset) -> PbaMorphism:
-    """m(x) = the leg over the member x generates, at x."""
-    legs = c.legs
-    return PbaMorphism(A, c.apex, tuple([legs[g][x] for x, g in
-                                         enumerate(_generated_members(A, P))]))
-
-
-def _restricts_to_legs(mp: Sequence[int], c: Cocone, P: SubalgebraPoset) -> bool:
-    """Whether every member has a leg, and that leg is ``mp`` on the member."""
-    for member in P.members:
-        leg = c.legs.get(member)
-        if leg is None or any(leg.get(a) != mp[a] for a in member):
-            return False
-    return True
-
-
-def mediating_morphism(A: PartialBooleanAlgebra, c: Cocone,
-                       P: SubalgebraPoset | None = None) -> PbaMorphism:
-    """The unique morphism m with m ∘ i_C = leg_C for every member C,
-    computed element-wise as m(x) = leg over the subalgebra generated by x.
-
-    One morphism check certifies a valid cocone: once m is a morphism that
-    agrees with every leg, each leg is m restricted to its member, so it is
-    a morphism, and the legs are compatible.  Any other cocone is walked by
-    ``check_cocone``, and the first fault raises: a missing leg, a leg that
-    misses an element or is not a morphism, or legs that disagree on a
-    nested pair (CoconeError); then a mediating map that is not a morphism
-    (InvalidAlgebraError), or one that disagrees with a leg (CoconeError)."""
-    P = P or boolean_subalgebras(A)
-    try:
-        m = _mediating_map(A, c, P)
-    except (KeyError, PbalgError):
-        m = None
-    if m is not None and check_morphism(m).ok and _restricts_to_legs(m.map, c, P):
-        return m
-    check_cocone(A, P, c)
-    if m is None:
-        m = _mediating_map(A, c, P)
-    chk = check_morphism(m)
+    The maximal blocks cover A, so their maps pin m at every element; every
+    commeasurable pair lies in one of them, so m is a morphism exactly when
+    each block map is one; and every member lies in one, so each leg is
+    then m restricted to its member.  The certificate is therefore: the
+    cocone's blocks are exactly the maximal cliques of A, each map covers
+    its block inside the apex, the maps agree where blocks overlap, and the
+    flattened map passes one ``check_morphism``.  The first fault, in that
+    order, raises CoconeError naming the block at fault (for a
+    disagreement, the block that set the element and the one that differs)."""
+    blocks = _block_keys(A)
+    maps = c.maps
+    for block in blocks:
+        if block not in maps:
+            raise CoconeError(f"cocone lacks a map for a maximal block of size {len(block)}",
+                              pair=(block, None))
+    if len(maps) != len(blocks):
+        known = set(blocks)
+        raise CoconeError("cocone has a map for a set that is not a maximal block",
+                          pair=(next(k for k in maps if k not in known), None))
+    n = c.apex.n
+    m: list[int] = [-1] * A.n
+    owner: list[tuple[int, ...]] = [()] * A.n
+    for block in blocks:
+        h = maps[block]
+        if len(h) != len(block):
+            raise CoconeError("cocone map does not cover its block", pair=(block, None))
+        if min(h) < 0 or max(h) >= n:
+            raise CoconeError("cocone map leaves the apex", pair=(block, None))
+        for a, b in zip(block, h):
+            if owner[a]:
+                if m[a] != b:
+                    raise CoconeError("cocone maps disagree on a shared element",
+                                      pair=(owner[a], block))
+            else:
+                m[a], owner[a] = b, block
+    f = PbaMorphism(A, c.apex, tuple(m))
+    chk = check_morphism(f)
     if not chk.ok:
-        raise InvalidAlgebraError(
-            f"mediating map is not a morphism ({chk.message}); "
-            "the input diagram is not a valid partial Boolean algebra")
-    for member in P.members:
-        for a in member:
-            if m.map[a] != c.legs[member][a]:
-                raise CoconeError("mediating map disagrees with a cocone leg",
-                                  pair=(member, None))
-    return m
+        at = set(chk.witness)
+        raise CoconeError(f"cocone map is not a morphism: {chk.message}",
+                          pair=(next(b for b in blocks if at.issubset(b)), None))
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +322,6 @@ def _flatten(blocks: Sequence[_Block], maps: Sequence[tuple[int, ...]], n: int) 
 
 
 def cocones_into(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
-                 P: SubalgebraPoset | None = None,
                  max_cocones: int | None = None,
                  rng: random.Random | None = None,
                  max_nodes: int = 2_000_000) -> list[Cocone]:
@@ -375,10 +337,13 @@ def cocones_into(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
     list is one node, as is each compatible family of maps on a prefix of
     the blocks; past ``max_nodes``, counted apart for each list and for the
     assembly, it raises SearchCutoffError."""
-    P = P or boolean_subalgebras(A)
-    blocks = P._cache.get("blocks")
-    if blocks is None:
-        blocks = P._cache["blocks"] = _maximal_blocks(A)
+    return _cocones(_maximal_blocks(A), B, max_cocones, rng, max_nodes)
+
+
+def _cocones(blocks: Sequence[_Block], B: PartialBooleanAlgebra,
+             max_cocones: int | None, rng: random.Random | None,
+             max_nodes: int) -> list[Cocone]:
+    """``cocones_into`` over the ``blocks`` of ``_maximal_blocks(A)``."""
     # with sampling requested, enumerate a deterministic prefix several times
     # larger than the sample and draw from it; unbounded enumeration of the
     # full cocone space can explode combinatorially
@@ -388,10 +353,8 @@ def cocones_into(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
     found = _assemble(blocks, B, hard_cap, max_nodes)
     if max_cocones is not None and rng is not None and len(found) > max_cocones:
         found = rng.sample(found, max_cocones)
-    # legs only for the cocones returned
-    flat = (_flatten(blocks, maps, A.n) for maps in found)
-    return [Cocone(apex=B, legs={member: {a: m[a] for a in member} for member in P.members})
-            for m in flat]
+    embeds = [embed for embed, _, _ in blocks]
+    return [Cocone(apex=B, maps=dict(zip(embeds, maps))) for maps in found]
 
 
 @dataclass(frozen=True)
@@ -424,9 +387,9 @@ def verify_colimit(A: PartialBooleanAlgebra,
     generated trial cocones: the mediating morphism exists, is a morphism,
     satisfies the cocone equations, and is the only morphism that does.
 
-    ``mediating_morphism`` certifies existence: it raises unless the cocone
-    is valid and the map it builds is a morphism agreeing with every leg.
-    Every element lies in the member it generates, so the legs pin the map
+    ``mediating_morphism`` certifies existence: it raises unless the
+    cocone's block maps agree where the blocks overlap and flatten to a
+    morphism.  The maximal blocks cover A, so those maps pin the map
     everywhere and it is the only candidate ("constrained-search").  When
     the unconstrained morphism search out of A fits the node budget (a
     frontier count of its exact node total decides this once per target),
@@ -441,16 +404,16 @@ def verify_colimit(A: PartialBooleanAlgebra,
     for B in targets:
         if B.n > max_apex:
             raise DomainError(f"apex of size {B.n} exceeds max_apex={max_apex}")
-    P = boolean_subalgebras(A)
+    blocks = _maximal_blocks(A)
     rng = random.Random(seed)
     entries: list[ColimitEntry] = []
     for B in targets:
-        cocones = cocones_into(A, B, P, max_cocones=max_cocones_per_target, rng=rng)
+        cocones = _cocones(blocks, B, max_cocones_per_target, rng, 2_000_000)
         clauses = _compile_clauses(A, B)
         counted = _count_morphisms(clauses, full_enumeration_budget)
         route = "constrained-search" if counted is None else "filtered-enumeration"
         for ci, c in enumerate(cocones):
-            m = mediating_morphism(A, c, P)
+            m = mediating_morphism(A, c)
             entries.append(ColimitEntry(
                 target_n=B.n, cocone_index=ci, mediates=True, is_morphism=True,
                 unique=counted is None or _satisfies_clauses(clauses, m.map),

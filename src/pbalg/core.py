@@ -533,7 +533,7 @@ def validate(A: PartialBooleanAlgebra) -> ValidationReport:
     commeasurability relation: every pairwise-commeasurable set extends to a
     maximal clique, so it suffices that each maximal clique is closed under
     the operations and Boolean under them (the exhaustive all-subsets check
-    is kept as a slow test oracle).
+    is ``extension_clause_oracle`` in ``tests/helpers.py``).
     """
     out: list[Violation] = []
     lab = A.labels
@@ -594,25 +594,6 @@ def validate(A: PartialBooleanAlgebra) -> ValidationReport:
             out.extend(_boolean_axiom_violations(A, list(_bits(clique))))
 
     return ValidationReport(tuple(out))
-
-
-def extension_clause_oracle(A: PartialBooleanAlgebra) -> bool:
-    """Slow oracle for the extension clause: every pairwise-commeasurable
-    subset is contained in some pairwise-commeasurable, operation-closed,
-    Boolean superset.  Exhaustive over all subsets; use for small carriers.
-    """
-    cliques = maximal_cliques(A)
-    good: list[set[int]] = []
-    for clique in cliques:
-        elems = list(_bits(clique))
-        if not _boolean_axiom_violations(A, elems):
-            good.append(set(elems))
-    for r in range(1, A.n + 1):
-        for subset in itertools.combinations(range(A.n), r):
-            if all(A.comm_pair(a, b) for a, b in itertools.combinations(subset, 2)):
-                if not any(set(subset) <= g for g in good):
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -924,32 +905,6 @@ def generated_subalgebra(A: PartialBooleanAlgebra, S: Iterable[int]) -> frozense
         closed |= fresh
         frontier = list(fresh)
     return frozenset(closed)
-
-
-def generated_subalgebra_oracle(A: PartialBooleanAlgebra, S: Iterable[int]) -> frozenset[int]:
-    """Independent oracle: intersection of all operation-closed supersets of
-    S ∪ {0, 1}.  Exponential; small carriers only."""
-    S = set(_require_pairwise_comm(A, S)) | {A.zero, A.one}
-    best: set[int] | None = None
-    rest = [a for a in range(A.n) if a not in S]
-    for r in range(len(rest) + 1):
-        for extra in itertools.combinations(rest, r):
-            candidate = S | set(extra)
-            if not all(A.comm_pair(a, b) for a, b in itertools.combinations(candidate, 2)):
-                continue
-            ok = all(A.neg[a] in candidate for a in candidate)
-            if ok:
-                for a, b in itertools.combinations(candidate, 2):
-                    if A.meet_of(a, b) not in candidate or A.join_of(a, b) not in candidate:
-                        ok = False
-                        break
-            if ok and (best is None or len(candidate) < len(best)):
-                best = candidate
-        if best is not None:
-            break  # supersets found at this size are minimal by construction
-    if best is None:
-        raise DomainError("no closed superset found; algebra invalid")
-    return frozenset(best)
 
 
 def join_all(A: PartialBooleanAlgebra, S: Iterable[int]) -> int:

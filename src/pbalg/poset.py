@@ -10,19 +10,19 @@ all subsets of the carrier.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, SearchCutoffError
 from .core import (
     PartialBooleanAlgebra,
+    _bit_positions,
     _candidate_classes,
     _columns,
     _isomorphism_search,
     atoms_of_subalgebra,
     join_all,
     maximal_cliques,
-    sub_algebra,
 )
 
 
@@ -61,17 +61,6 @@ class SubalgebraPoset:
     algebra: PartialBooleanAlgebra
     members: tuple[frozenset[int], ...]
     leq: tuple[int, ...]
-    # tables built lazily, once per poset: member carriers keyed by member,
-    # and the tables other modules read keyed by name
-    _cache: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
-
-    def _member_algebra(self, member: frozenset[int]
-                        ) -> tuple[PartialBooleanAlgebra, tuple[int, ...]]:
-        """``sub_algebra(self.algebra, member)``, built once per member."""
-        if member not in self._cache:
-            self._cache[member] = sub_algebra(self.algebra, member)
-        return self._cache[member]
 
     def index_of(self, member: frozenset[int]) -> int:
         try:
@@ -92,17 +81,12 @@ class SubalgebraPoset:
         return [i for i, row in enumerate(self.leq) if row == 1 << i]
 
     def hasse_edges(self) -> list[tuple[int, int]]:
-        """Cover pairs (i, j) with member i directly below member j."""
-        n = len(self.members)
-        edges = []
-        for i in range(n):
-            for j in range(n):
-                if i == j or not self.contains(i, j):
-                    continue
-                if not any(k != i and k != j and self.contains(i, k)
-                           and self.contains(k, j) for k in range(n)):
-                    edges.append((i, j))
-        return edges
+        """Cover pairs (i, j) with member i directly below member j: the
+        members between them, ``leq[i]`` meeting the column of j, are just
+        i and j."""
+        cols = _columns(self.leq)
+        return [(i, j) for i, row in enumerate(self.leq) for j in _bit_positions(row)
+                if i != j and row & cols[j] == (1 << i) | (1 << j)]
 
 
 @lru_cache(maxsize=None)
@@ -167,23 +151,20 @@ class StructureReport:
 
 def structure_report(P: SubalgebraPoset) -> StructureReport:
     """Least member, poset atoms, filteredness, and the maximum when the
-    poset is filtered (equivalently: when the algebra is Boolean)."""
+    poset is filtered (equivalently: when the algebra is Boolean).  Each is
+    read off the columns of ``leq``: an atom's column is itself and the
+    least member, the maximum's column is every member, and a finite poset
+    is filtered exactly when it has a maximum."""
     A = P.algebra
     least = frozenset({A.zero, A.one})
     li = P.index_of(least)
-    n = len(P.members)
-    atoms = tuple(P.members[i] for i in range(n)
-                  if i != li and not any(
-                      j != li and j != i and P.contains(j, i) for j in range(n)))
-    is_filtered = all(
-        any(P.contains(i, k) and P.contains(j, k) for k in range(n))
-        for i in range(n) for j in range(i + 1, n))
-    maximum = None
-    for i in range(n):
-        if all(P.contains(j, i) for j in range(n)):
-            maximum = P.members[i]
+    cols = _columns(P.leq)
+    atoms = tuple(P.members[i] for i, col in enumerate(cols)
+                  if i != li and col == (1 << li) | (1 << i))
+    full = (1 << len(P.members)) - 1
+    maximum = next((P.members[i] for i, col in enumerate(cols) if col == full), None)
     return StructureReport(least=least, atoms=atoms,
-                           is_filtered=is_filtered, maximum=maximum)
+                           is_filtered=maximum is not None, maximum=maximum)
 
 
 # ---------------------------------------------------------------------------
@@ -244,33 +225,3 @@ def downset_matches_partition_lattice(P: SubalgebraPoset, member: frozenset[int]
             if (pl_leq[b] >> a) & 1:
                 dual[a] |= 1 << b
     return _poset_isomorphic(sub_leq, dual)
-
-
-def commeasurability_from_members(P: SubalgebraPoset) -> list[int]:
-    """Recover the commeasurability relation from the poset: a ⊙ b iff both
-    belong to some member.  Used as a structural cross-check."""
-    A = P.algebra
-    comm = [0] * A.n
-    for member in P.members:
-        for a in member:
-            for b in member:
-                comm[a] |= 1 << b
-    return comm
-
-
-def report_text(P: SubalgebraPoset) -> str:
-    """Human-readable structure report: members by label plus Hasse edges."""
-    A = P.algebra
-    rep = structure_report(P)
-    lines = [f"subalgebra poset of a {A.n}-element algebra: {len(P.members)} members"]
-    for i, member in enumerate(P.members):
-        names = ",".join(A.labels[a] for a in sorted(member))
-        lines.append(f"  member {i}: {{{names}}}")
-    lines.append("hasse edges: " + " ".join(
-        f"{i}<{j}" for i, j in P.hasse_edges()))
-    lines.append(f"least: {{{','.join(A.labels[a] for a in sorted(rep.least))}}}")
-    lines.append(f"atoms: {len(rep.atoms)}")
-    lines.append(f"filtered: {'yes' if rep.is_filtered else 'no'}")
-    if rep.maximum is not None:
-        lines.append("maximum: present")
-    return "\n".join(lines)

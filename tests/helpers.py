@@ -2,11 +2,13 @@
 tensor factorization criterion, a pairwise morphism-clause walk, a
 brute-force isomorphism oracle with a carrier relabelling to feed it, the
 isomorphism search as it was before its used-image mask, product-and-filter
-oracles for cocones and maximal cliques, the cocone walk and mediation as
-they were before one morphism check certified a cocone, a Bron-Kerbosch
-whose pivot scan reads every vertex, crown-shaped orders, the point
-family a two-valued state induces on the member poset, and validation and
-the tensor tables walked cell by cell."""
+oracles for cocones and maximal cliques, block-family cocones spread out to
+per-member legs with the member-by-member cocone walk and mediation, a
+Bron-Kerbosch whose pivot scan reads every vertex, crown-shaped orders, the
+point family a two-valued state induces on the member poset, validation and
+the tensor tables walked cell by cell, and the exhaustive oracles for the
+extension clause, generated subalgebras and the subalgebra poset's
+reports."""
 
 from __future__ import annotations
 
@@ -25,8 +27,10 @@ from pbalg.core import (
     ValidationReport,
     Violation,
     _bits,
+    _boolean_axiom_violations,
     _candidate_classes,
     _columns,
+    _require_pairwise_comm,
     _signature,
     atoms_of_subalgebra,
     check_morphism,
@@ -36,8 +40,14 @@ from pbalg.core import (
     sub_algebra,
 )
 from pbalg.colimit import Cocone, TensorResult, tensor_factorization, tensor_product
-from pbalg.errors import AmalgamError, CoconeError, InvalidAlgebraError, SearchCutoffError
-from pbalg.poset import SubalgebraPoset
+from pbalg.errors import (
+    AmalgamError,
+    CoconeError,
+    DomainError,
+    InvalidAlgebraError,
+    SearchCutoffError,
+)
+from pbalg.poset import StructureReport, SubalgebraPoset, structure_report
 
 
 # ---------------------------------------------------------------------------
@@ -451,17 +461,35 @@ def cocone_legs_by_product(P: SubalgebraPoset, B: PartialBooleanAlgebra
     return out
 
 
-def walk_check_cocone(A: PartialBooleanAlgebra, P: SubalgebraPoset, c: Cocone) -> None:
-    """The cocone walk before its mends: each member's leg checked as a
-    morphism, then every nested member pair compared.  A leg missing an
-    element of its member raises a bare KeyError."""
+def member_legs(P: SubalgebraPoset, c: Cocone) -> dict[frozenset[int], dict[int, int]]:
+    """A block-family cocone spread out to one leg per member of P: each
+    member takes its leg from the first block of ``c.maps`` that holds it,
+    zipped with that block's map (so a short map leaves elements out); a
+    member no block holds gets no leg."""
+    blocks = [(set(block), block, h) for block, h in c.maps.items()]
+    legs = {}
     for member in P.members:
-        if member not in c.legs:
+        for elems, block, h in blocks:
+            if member <= elems:
+                legs[member] = {a: b for a, b in zip(block, h) if a in member}
+                break
+    return legs
+
+
+def walk_check_cocone(A: PartialBooleanAlgebra, P: SubalgebraPoset,
+                      apex: PartialBooleanAlgebra,
+                      legs: dict[frozenset[int], dict[int, int]]) -> None:
+    """The member-by-member cocone walk: each member's leg checked as a
+    morphism out of the member's carrier, then every nested member pair
+    compared.  A leg missing an element of its member raises a bare
+    KeyError."""
+    for member in P.members:
+        if member not in legs:
             raise CoconeError(f"cocone lacks a leg for a member of size {len(member)}",
                               pair=(member, None))
-        sub, embed = P._member_algebra(member)
-        leg = c.legs[member]
-        f = PbaMorphism(sub, c.apex, tuple(leg[a] for a in embed))
+        sub, embed = sub_algebra(A, member)
+        leg = legs[member]
+        f = PbaMorphism(sub, apex, tuple(leg[a] for a in embed))
         chk = check_morphism(f)
         if not chk.ok:
             raise CoconeError(f"cocone leg is not a morphism: {chk.message}",
@@ -469,23 +497,24 @@ def walk_check_cocone(A: PartialBooleanAlgebra, P: SubalgebraPoset, c: Cocone) -
     for s in P.members:
         for t in P.members:
             if s < t:
-                if any(c.legs[t][a] != c.legs[s][a] for a in s):
+                if any(legs[t][a] != legs[s][a] for a in s):
                     raise CoconeError(
                         "cocone legs disagree on a nested member pair",
                         pair=(s, t))
 
 
-def walk_mediating_morphism(A: PartialBooleanAlgebra, c: Cocone,
-                            P: SubalgebraPoset) -> PbaMorphism:
-    """Mediation as a full cocone walk: ``walk_check_cocone``, then m(x)
-    from the subalgebra generated by x, one generated subalgebra per
-    element, then a morphism check and a comparison with every leg."""
-    walk_check_cocone(A, P, c)
+def walk_mediating_morphism(A: PartialBooleanAlgebra, P: SubalgebraPoset,
+                            apex: PartialBooleanAlgebra,
+                            legs: dict[frozenset[int], dict[int, int]]) -> PbaMorphism:
+    """Mediation as a full walk over per-member legs: ``walk_check_cocone``,
+    then m(x) from the subalgebra generated by x, one generated subalgebra
+    per element, then a morphism check and a comparison with every leg."""
+    walk_check_cocone(A, P, apex, legs)
     values = []
     for x in range(A.n):
         gen = generated_subalgebra(A, [x])
-        values.append(c.legs[gen][x])
-    m = PbaMorphism(A, c.apex, tuple(values))
+        values.append(legs[gen][x])
+    m = PbaMorphism(A, apex, tuple(values))
     chk = check_morphism(m)
     if not chk.ok:
         raise InvalidAlgebraError(
@@ -493,7 +522,7 @@ def walk_mediating_morphism(A: PartialBooleanAlgebra, c: Cocone,
             "the input diagram is not a valid partial Boolean algebra")
     for member in P.members:
         for a in member:
-            if m.map[a] != c.legs[member][a]:
+            if m.map[a] != legs[member][a]:
                 raise CoconeError("mediating map disagrees with a cocone leg",
                                   pair=(member, None))
     return m
@@ -704,3 +733,119 @@ def walk_tensor_tables(n: int, objects: Iterable[Sequence[int]]):
                         raise AmalgamError(f"{name} ill-defined on the tensor carrier")
                     table[e][f] = v
     return tuple(neg), tuple(map(tuple, meet)), tuple(map(tuple, join))
+
+
+# ---------------------------------------------------------------------------
+# exhaustive oracles for validation, generated subalgebras and the
+# subalgebra poset's reports
+# ---------------------------------------------------------------------------
+
+def extension_clause_oracle(A: PartialBooleanAlgebra) -> bool:
+    """Slow oracle for the extension clause: every pairwise-commeasurable
+    subset is contained in some pairwise-commeasurable, operation-closed,
+    Boolean superset.  Exhaustive over all subsets; use for small carriers.
+    """
+    cliques = maximal_cliques(A)
+    good: list[set[int]] = []
+    for clique in cliques:
+        elems = list(_bits(clique))
+        if not _boolean_axiom_violations(A, elems):
+            good.append(set(elems))
+    for r in range(1, A.n + 1):
+        for subset in itertools.combinations(range(A.n), r):
+            if all(A.comm_pair(a, b) for a, b in itertools.combinations(subset, 2)):
+                if not any(set(subset) <= g for g in good):
+                    return False
+    return True
+
+
+def generated_subalgebra_oracle(A: PartialBooleanAlgebra, S: Iterable[int]) -> frozenset[int]:
+    """Independent oracle: intersection of all operation-closed supersets of
+    S ∪ {0, 1}.  Exponential; small carriers only."""
+    S = set(_require_pairwise_comm(A, S)) | {A.zero, A.one}
+    best: set[int] | None = None
+    rest = [a for a in range(A.n) if a not in S]
+    for r in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, r):
+            candidate = S | set(extra)
+            if not all(A.comm_pair(a, b) for a, b in itertools.combinations(candidate, 2)):
+                continue
+            ok = all(A.neg[a] in candidate for a in candidate)
+            if ok:
+                for a, b in itertools.combinations(candidate, 2):
+                    if A.meet_of(a, b) not in candidate or A.join_of(a, b) not in candidate:
+                        ok = False
+                        break
+            if ok and (best is None or len(candidate) < len(best)):
+                best = candidate
+        if best is not None:
+            break  # supersets found at this size are minimal by construction
+    if best is None:
+        raise DomainError("no closed superset found; algebra invalid")
+    return frozenset(best)
+
+
+def hasse_edges_cubic(P: SubalgebraPoset) -> list[tuple[int, int]]:
+    """Cover pairs (i, j) with member i directly below member j, by testing
+    every third member k for i < k < j."""
+    n = len(P.members)
+    edges = []
+    for i in range(n):
+        for j in range(n):
+            if i == j or not P.contains(i, j):
+                continue
+            if not any(k != i and k != j and P.contains(i, k)
+                       and P.contains(k, j) for k in range(n)):
+                edges.append((i, j))
+    return edges
+
+
+def structure_report_cubic(P: SubalgebraPoset) -> StructureReport:
+    """Least member, poset atoms, filteredness (every pair of members has a
+    common upper bound) and the maximum, each by its definition."""
+    A = P.algebra
+    least = frozenset({A.zero, A.one})
+    li = P.index_of(least)
+    n = len(P.members)
+    atoms = tuple(P.members[i] for i in range(n)
+                  if i != li and not any(
+                      j != li and j != i and P.contains(j, i) for j in range(n)))
+    is_filtered = all(
+        any(P.contains(i, k) and P.contains(j, k) for k in range(n))
+        for i in range(n) for j in range(i + 1, n))
+    maximum = None
+    for i in range(n):
+        if all(P.contains(j, i) for j in range(n)):
+            maximum = P.members[i]
+    return StructureReport(least=least, atoms=atoms,
+                           is_filtered=is_filtered, maximum=maximum)
+
+
+def commeasurability_from_members(P: SubalgebraPoset) -> list[int]:
+    """Recover the commeasurability relation from the poset: a ⊙ b iff both
+    belong to some member.  Used as a structural cross-check."""
+    A = P.algebra
+    comm = [0] * A.n
+    for member in P.members:
+        for a in member:
+            for b in member:
+                comm[a] |= 1 << b
+    return comm
+
+
+def report_text(P: SubalgebraPoset) -> str:
+    """Human-readable structure report: members by label plus Hasse edges."""
+    A = P.algebra
+    rep = structure_report(P)
+    lines = [f"subalgebra poset of a {A.n}-element algebra: {len(P.members)} members"]
+    for i, member in enumerate(P.members):
+        names = ",".join(A.labels[a] for a in sorted(member))
+        lines.append(f"  member {i}: {{{names}}}")
+    lines.append("hasse edges: " + " ".join(
+        f"{i}<{j}" for i, j in P.hasse_edges()))
+    lines.append(f"least: {{{','.join(A.labels[a] for a in sorted(rep.least))}}}")
+    lines.append(f"atoms: {len(rep.atoms)}")
+    lines.append(f"filtered: {'yes' if rep.is_filtered else 'no'}")
+    if rep.maximum is not None:
+        lines.append("maximum: present")
+    return "\n".join(lines)

@@ -10,7 +10,12 @@ import random
 
 import pytest
 
-from helpers import cocone_legs_by_product, walk_mediating_morphism, walk_tensor_tables
+from helpers import (
+    cocone_legs_by_product,
+    member_legs,
+    walk_mediating_morphism,
+    walk_tensor_tables,
+)
 from pbalg._rowbands import tensor_tables
 from pbalg import colimit
 from pbalg.core import (
@@ -31,6 +36,7 @@ from pbalg.core import (
 from pbalg.colimit import (
     Cocone,
     boolean_coproduct,
+    cocone_from_morphism,
     cocones_into,
     coproduct,
     equalizer,
@@ -48,7 +54,6 @@ from pbalg.errors import (
     CoconeError,
     DomainError,
     InvalidAlgebraError,
-    PbalgError,
     SearchCutoffError,
 )
 from pbalg.poset import boolean_subalgebras
@@ -76,116 +81,141 @@ def test_inclusion_cocone_mediates_to_identity(mo2):
 def test_paper_cocone_gives_paper_map(mo2):
     b2 = boolean_algebra(2)
     c, c1 = 2, 1
-    legs = {
-        frozenset({0, 1}): {0: 0, 1: 3},
-        frozenset({0, 1, 2, 3}): {0: 0, 1: 3, 2: c, 3: c1},
-        frozenset({0, 1, 4, 5}): {0: 0, 1: 3, 4: c, 5: c1},
-    }
-    m = mediating_morphism(mo2, Cocone(apex=b2, legs=legs))
+    maps = {(0, 1, 2, 3): (0, 3, c, c1), (0, 1, 4, 5): (0, 3, c, c1)}
+    cocone = Cocone(apex=b2, maps=maps)
+    m = mediating_morphism(mo2, cocone)
     assert m.map == (0, 3, c, c1, c, c1)
     assert check_morphism(m).ok
+    assert cocone.leg(frozenset({0, 1})) == {0: 0, 1: 3}
+    assert cocone.leg(frozenset({0, 1, 4, 5})) == {0: 0, 1: 3, 4: c, 5: c1}
+    with pytest.raises(KeyError):
+        cocone.leg(frozenset({0, 1, 2, 4}))
 
 
 def test_random_cocone_on_mo3_evaluates_elementwise(mo3):
     b3 = boolean_algebra(3)
     cocones = cocones_into(mo3, b3, max_cocones=5)
+    P = boolean_subalgebras(mo3)
     for c in cocones:
         m = mediating_morphism(mo3, c)
         # independent recomputation of each leg value
-        P = boolean_subalgebras(mo3)
         for member in P.members:
             for a in member:
-                assert m.map[a] == c.legs[member][a]
+                assert m.map[a] == c.leg(member)[a]
 
 
 def test_incoherent_cocone_rejected(mo2):
     b2 = boolean_algebra(2)
-    legs = {
-        frozenset({0, 1}): {0: 0, 1: 3},
-        frozenset({0, 1, 2, 3}): {0: 3, 1: 0, 2: 2, 3: 1},  # not a morphism
-        frozenset({0, 1, 4, 5}): {0: 0, 1: 3, 4: 2, 5: 1},
-    }
+    maps = {(0, 1, 2, 3): (3, 0, 2, 1),  # not a morphism
+            (0, 1, 4, 5): (0, 3, 2, 1)}
     with pytest.raises(CoconeError):
-        mediating_morphism(mo2, Cocone(apex=b2, legs=legs))
+        mediating_morphism(mo2, Cocone(apex=b2, maps=maps))
+
+
+@pytest.mark.parametrize("maps, message, pair", [
+    pytest.param({(0, 1, 2, 3): (0, 1, 2, 3)}, "cocone lacks a map for a maximal block of size 4",
+                 ((0, 1, 4, 5), None), id="block"),
+    pytest.param({(0, 1, 2, 3): (0, 1, 2, 3), (0, 1, 4, 5): (0, 1, 4, 5), (0, 1): (0, 1)},
+                 "cocone has a map for a set that is not a maximal block", ((0, 1), None),
+                 id="extra"),
+    pytest.param({(0, 1, 2, 3): (0, 1, 2, 3), (0, 1, 4, 5): (0, 1, 4, 6)},
+                 "cocone map leaves the apex", ((0, 1, 4, 5), None), id="apex"),
+    pytest.param({(0, 1, 2, 3): (1, 0, 3, 2), (0, 1, 4, 5): (0, 1, 4, 5)},
+                 "cocone maps disagree on a shared element", ((0, 1, 2, 3), (0, 1, 4, 5)),
+                 id="overlap"),
+    pytest.param({(0, 1, 2, 3): (0, 1, 2, 3), (0, 1, 4, 5): (0, 1, 4, 4)},
+                 "cocone map is not a morphism: neg not preserved at x1", ((0, 1, 4, 5), None),
+                 id="morphism"),
+])
+def test_mediation_faults_name_the_block(mo2, maps, message, pair):
+    # the first fault raises, and names the block at fault (or the block
+    # that set a shared element and the one that differs on it)
+    with pytest.raises(CoconeError) as info:
+        mediating_morphism(mo2, Cocone(apex=mo2, maps=maps))
+    assert str(info.value) == message and info.value.pair == pair
 
 
 def test_leg_missing_an_element_is_a_cocone_error(mo2):
-    legs = {member: {a: a for a in member}
-            for member in boolean_subalgebras(mo2).members}
-    short = max(legs, key=len)
-    del legs[short][max(short)]
-    with pytest.raises(CoconeError, match="lacks an element") as info:
-        mediating_morphism(mo2, Cocone(apex=mo2, legs=legs))
+    # a block map one image short of its block
+    maps = dict(inclusion_cocone(mo2).maps)
+    short = max(maps)
+    maps[short] = maps[short][:-1]
+    with pytest.raises(CoconeError, match="does not cover its block") as info:
+        mediating_morphism(mo2, Cocone(apex=mo2, maps=maps))
     assert info.value.pair == (short, None)
 
 
-def _outcome(call):
-    """The map a mediation returns, or the type, message and pair of what
-    it raises."""
+def _verdict(call):
+    """The map a mediation returns, or ``CoconeError`` with its message; a
+    bare KeyError (the member walk's leg missing an element) counts as a
+    CoconeError.  Anything else propagates."""
     try:
-        return ("map", call().map)
+        return ("map", call().map), None
     except KeyError:
-        return ("KeyError",)
-    except PbalgError as exc:
-        return (type(exc).__name__, str(exc), getattr(exc, "pair", None))
+        return ("CoconeError",), "KeyError"
+    except CoconeError as exc:
+        return ("CoconeError",), str(exc)
 
 
-def _corrupted(c, B, rng):
-    """Three seeded corruptions of a cocone: one leg value changed, one leg
-    dropped, one element dropped from one leg."""
-    members = sorted(c.legs, key=lambda m: (len(m), sorted(m)))
-    legs = {m: dict(leg) for m, leg in c.legs.items()}
-    member = rng.choice(members)
-    a = rng.choice(sorted(member))
-    legs[member][a] = rng.choice([v for v in range(B.n) if v != legs[member][a]])
-    yield "value", Cocone(apex=B, legs=legs)
-    legs = dict(c.legs)
-    del legs[rng.choice(members)]
-    yield "leg", Cocone(apex=B, legs=legs)
-    legs = {m: dict(leg) for m, leg in c.legs.items()}
-    member = rng.choice(members)
-    del legs[member][rng.choice(sorted(member))]
-    yield "element", Cocone(apex=B, legs=legs)
+def _corrupted(c, rng):
+    """Three seeded corruptions of a cocone's block maps: one value changed,
+    one block dropped, one element dropped from one block's map."""
+    blocks = sorted(c.maps)
+    maps = dict(c.maps)
+    block = rng.choice(blocks)
+    h = list(maps[block])
+    p = rng.randrange(len(h))
+    h[p] = rng.choice([v for v in range(c.apex.n) if v != h[p]])
+    maps[block] = tuple(h)
+    yield "value", Cocone(apex=c.apex, maps=maps)
+    maps = dict(c.maps)
+    del maps[rng.choice(blocks)]
+    yield "block", Cocone(apex=c.apex, maps=maps)
+    maps = dict(c.maps)
+    block = rng.choice(blocks)
+    h = list(maps[block])
+    del h[rng.randrange(len(h))]
+    maps[block] = tuple(h)
+    yield "element", Cocone(apex=c.apex, maps=maps)
 
 
 def test_mediation_matches_full_cocone_walk(mo2):
-    # one morphism check certifies a valid cocone, and any other is walked
-    # as before: the same map, or the same exception, message and pair; a
-    # leg missing an element was a bare KeyError and is now a CoconeError
-    # naming the first such member
+    # the block-family certificate and the member-by-member walk over the
+    # same cocone spread out to one leg per member give the same verdict:
+    # the same map, or a CoconeError on both sides
     rng = random.Random(17)
     targets = [boolean_algebra(1), boolean_algebra(2), boolean_algebra(3), mo2]
     carriers = small_corpus() + [chain_of_triangles(2)] + generated_corpus(50, 24)
-    kinds = {"value": 0, "leg": 0, "element": 0}
-    outcomes = set()
+    kinds = {"value": 0, "block": 0, "element": 0}
+    messages = set()
     for A in carriers:
         P = boolean_subalgebras(A)
         for B in targets:
-            cocones = cocones_into(A, B, P, max_cocones=3, rng=rng)
+            cocones = cocones_into(A, B, max_cocones=3, rng=rng)
             if B is targets[0] and A.n > 1:
-                cocones.append(inclusion_cocone(A, P))
+                cocones.append(inclusion_cocone(A))
             for c in cocones:
-                want = _outcome(lambda: walk_mediating_morphism(A, c, P))
+                def walk(c=c):
+                    return walk_mediating_morphism(A, P, c.apex, member_legs(P, c))
+                want, _ = _verdict(walk)
                 assert want[0] == "map"
-                assert _outcome(lambda: mediating_morphism(A, c, P)) == want
-                for kind, bad in itertools.chain(*(_corrupted(c, c.apex, rng)
-                                                   for _ in range(2))):
-                    want = _outcome(lambda: walk_mediating_morphism(A, bad, P))
-                    if want == ("KeyError",):
-                        short = next(m for m in P.members
-                                     if m in bad.legs and not m <= bad.legs[m].keys())
-                        want = ("CoconeError", "cocone leg lacks an element of its member",
-                                (short, None))
-                    assert _outcome(lambda: mediating_morphism(A, bad, P)) == want, kind
+                assert _verdict(lambda: mediating_morphism(A, c))[0] == want
+                for kind, bad in itertools.chain(*(_corrupted(c, rng) for _ in range(2))):
+                    want, _ = _verdict(lambda: walk(bad))
+                    got, message = _verdict(lambda: mediating_morphism(A, bad))
+                    assert got == want, kind
                     kinds[kind] += 1
-                    outcomes.add(want[0] if want[0] == "map" else want[1].split(":")[0])
+                    messages.add(message and message.split(":")[0])
+    # every corruption is caught, and each kind of fault is met
     assert kinds == dict.fromkeys(kinds, 1390)
-    assert {"cocone leg is not a morphism", "cocone lacks a leg for a member of size 2",
-            "cocone leg lacks an element of its member"} <= outcomes
+    assert messages == {"cocone map is not a morphism", "cocone maps disagree on a shared element",
+                        "cocone map does not cover its block"} | {
+        f"cocone lacks a map for a maximal block of size {2 ** k}" for k in range(1, 5)}
 
 
 def test_cocones_biject_with_morphisms(mo2, mo3):
-    # by universality, cocones into B correspond exactly to morphisms A -> B
+    # by universality, cocones into B correspond exactly to morphisms A -> B,
+    # and restricting each morphism to the maximal blocks gives its cocone
     for A in [mo2, mo3, boolean_algebra(2)]:
         for B in [boolean_algebra(1), boolean_algebra(2)]:
             cocones = cocones_into(A, B)
@@ -193,6 +223,10 @@ def test_cocones_biject_with_morphisms(mo2, mo3):
             assert len(cocones) == len(homs)
             mediated = sorted(mediating_morphism(A, c).map for c in cocones)
             assert mediated == [h.map for h in homs]
+            restricted = [cocone_from_morphism(A, h) for h in homs]
+            assert [mediating_morphism(A, c).map for c in restricted] == mediated
+            assert ({frozenset(c.maps.items()) for c in restricted}
+                    == {frozenset(c.maps.items()) for c in cocones})
 
 
 def test_cocones_match_product_oracle(mo2):
@@ -202,7 +236,7 @@ def test_cocones_match_product_oracle(mo2):
     for A in small_corpus() + [chain_of_triangles(2), chain_of_triangles(3)]:
         P = boolean_subalgebras(A)
         for B in targets:
-            legs = [c.legs for c in cocones_into(A, B, P)]
+            legs = [member_legs(P, c) for c in cocones_into(A, B)]
             assert legs == cocone_legs_by_product(P, B)
 
 
@@ -217,8 +251,10 @@ def test_cocone_budget_is_exact(mo2, mo3, dom, cod, cap, nodes):
     # once ``cap`` cocones are found, each prefix still pending counts too
     algs = {"mo2": mo2, "mo3": mo3, "bool2": boolean_algebra(2)}
     A, B = algs[dom], algs[cod]
-    expected = [c.legs for c in cocones_into(A, B, max_cocones=cap)]
-    assert [c.legs for c in cocones_into(A, B, max_cocones=cap, max_nodes=nodes)] == expected
+    P = boolean_subalgebras(A)
+    expected = [member_legs(P, c) for c in cocones_into(A, B, max_cocones=cap)]
+    assert [member_legs(P, c) for c in
+            cocones_into(A, B, max_cocones=cap, max_nodes=nodes)] == expected
     with pytest.raises(SearchCutoffError) as info:
         cocones_into(A, B, max_cocones=cap, max_nodes=nodes - 1)
     assert info.value.limit == nodes - 1
@@ -397,6 +433,16 @@ def test_verify_colimit_reports_are_pinned():
     for i, A in enumerate(generated_corpus(50, 24)):
         text = "".join(repr(verify_colimit(A, seed=s)) + "\n" for s in (0, 3))
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == COLIMIT_REPORT_DIGESTS[i], i
+
+
+def test_verify_colimit_does_not_build_the_subalgebra_poset(monkeypatch):
+    # bool8 has 4,140 members; cocones are block families, so the poset is
+    # never built
+    def refuse(*args, **kwargs):
+        raise AssertionError("boolean_subalgebras called")
+
+    monkeypatch.setattr(colimit, "boolean_subalgebras", refuse)
+    assert verify_colimit(boolean_algebra(8)).ok
 
 
 def test_verify_rejects_large_apex(mo2):

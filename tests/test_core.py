@@ -21,6 +21,8 @@ from helpers import (
     crown,
     eager_find_isomorphism,
     eager_isomorphism_search,
+    extension_clause_oracle,
+    generated_subalgebra_oracle,
     maximal_cliques_by_subsets,
     relabel,
     walk_validate,
@@ -38,11 +40,9 @@ from pbalg.core import (
     check_morphism,
     compose,
     enumerate_morphisms,
-    extension_clause_oracle,
     find_isomorphism,
     from_orthomodular,
     generated_subalgebra,
-    generated_subalgebra_oracle,
     identity_morphism,
     image_factorization,
     is_isomorphic,

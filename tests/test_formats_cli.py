@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from pbalg.core import boolean_algebra, is_isomorphic, maximal_cliques, validate
-from pbalg.corpus import mo2_algebra
+from pbalg.corpus import mo2_algebra, small_corpus
 from pbalg.data import corpus_names, corpus_path
 from pbalg.errors import FormatError
 from pbalg.formats import (
@@ -358,6 +358,26 @@ def test_colimit_check_report_is_pinned(name):
         digests.append(hashlib.sha256(out.replace(path.encode(), name.encode())
                                       ).hexdigest()[:16])
     assert tuple(digests) == COLIMIT_CHECK_DIGESTS[name]
+
+
+# digests of the report with the input path replaced by the file name,
+# taken while the Hasse edges and the structure report were computed by
+# their definitions over every pair or triple of members
+SUBALGEBRAS_DIGESTS = {
+    "bool1.pba": "6792fd806fbb32f5", "bool2.pba": "582573ad4a2828a3",
+    "bool3.pba": "8b6e66a9329c8594", "mo2.pba": "7b91da37a42b0bb6",
+    "mo3.pba": "de11d6380dddb749", "bool6.pba": "ca3e2909e93ce45f",
+}
+
+
+def test_subalgebras_report_is_pinned(tmp_path):
+    algs = zip(SUBALGEBRAS_DIGESTS, small_corpus() + [boolean_algebra(6)])
+    for name, A in algs:
+        path = tmp_path / name
+        path.write_text(serialize_algebra(A))
+        _, out = run_cli("subalgebras", str(path))
+        digest = hashlib.sha256(out.replace(str(path).encode(), name.encode())).hexdigest()
+        assert digest[:16] == SUBALGEBRAS_DIGESTS[name], name
 
 
 def test_reports_byte_stable():

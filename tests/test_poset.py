@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import crown
+from helpers import (
+    commeasurability_from_members,
+    crown,
+    hasse_edges_cubic,
+    report_text,
+    structure_report_cubic,
+)
 from pbalg.core import (
     block_hypergraph,
     boolean_algebra,
@@ -19,11 +25,9 @@ from pbalg.corpus import generated_corpus, small_corpus
 from pbalg.poset import (
     boolean_subalgebras,
     boolean_subalgebras_oracle,
-    commeasurability_from_members,
     downset_matches_partition_lattice,
     partition_lattice,
     structure_report,
-    report_text,
 )
 from pbalg.poset import _poset_isomorphic, _set_partitions
 
@@ -209,3 +213,16 @@ def test_hasse_edges_paper_algebra(mo2):
     li = P.index_of(frozenset({0, 1}))
     edges = P.hasse_edges()
     assert sorted(edges) == [(li, j) for j in range(3) if j != li]
+
+
+@pytest.mark.parametrize("A", [pytest.param(A, id=f"small{i}") for i, A in enumerate(small_corpus())]
+                         + [pytest.param(trivial_algebra(), id="trivial")]
+                         + [pytest.param(boolean_algebra(k), id=f"bool{k}") for k in (5, 6)])
+def test_poset_reports_match_cubic_definitions(A):
+    # the Hasse edges, atoms and maximum are read off leq rows and columns,
+    # and filteredness off the maximum; the definitions test every pair or
+    # triple of members
+    P = boolean_subalgebras(A)
+    assert P.hasse_edges() == hasse_edges_cubic(P)
+    assert structure_report(P) == structure_report_cubic(P)
+
