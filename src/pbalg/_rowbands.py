@@ -61,21 +61,21 @@ def pair_rows(A: PartialBooleanAlgebra) -> Iterator[int]:
 
 
 def transport_rows(A: PartialBooleanAlgebra, elems: Sequence[int],
-                   mask_at: Sequence[int | None]) -> Iterator[int]:
-    """The elements a of the block ``elems``, in its order, whose meet or
-    join row over the block is not the atom intersection or union.
-    ``mask_at[x]`` is the atom set below x, None off the block; its last
-    entry is None and stands for UNDEF."""
-    masks = np.array([-1 if m is None else m for m in mask_at], np.int64)
-    own = masks[np.array(elems, np.intp)]
+                   below: Sequence[int]) -> Iterator[int]:
+    """The positions p in the block ``elems``, ascending, whose meet or join
+    row over the block is not the atom intersection or union; ``below[p]``
+    is the atom set of ``elems[p]``.  Cells off the block, UNDEF included,
+    look up -1, which no atom set equals."""
+    lut = np.full(A.n + 1, -1, np.int64)
+    own = np.array(below, np.int64)
+    lut[np.array(elems, np.intp)] = own
     gather = itemgetter(*elems)
     for r0, r1 in _bands(len(elems), len(elems)):
-        band = elems[r0:r1]
-        meet, join = (masks[np.array([gather(table[a]) for a in band], np.intp)]
+        meet, join = (lut[np.array([gather(table[a]) for a in elems[r0:r1]], np.intp)]
                       for table in (A.meet, A.join))
         ma = own[r0:r1, None]
         bad = ((meet != ma & own) | (join != ma | own)).any(1)
-        yield from (band[i] for i in np.flatnonzero(bad).tolist())
+        yield from (np.flatnonzero(bad) + r0).tolist()
 
 
 def _scatter(table: np.ndarray, cells, values: np.ndarray) -> bool:

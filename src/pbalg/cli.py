@@ -24,7 +24,7 @@ from .errors import (
     PbalgError,
     SearchCutoffError,
 )
-from .core import PartialBooleanAlgebra, PbaMorphism, check_morphism, validate
+from .core import PartialBooleanAlgebra, PbaMorphism, _boolean_block, check_morphism, validate
 from .poset import boolean_subalgebras, structure_report
 from .colimit import coproduct, product, tensor_product, verify_colimit
 from .stone import boolean_reflection, stone_limit, stone_spectrum
@@ -215,6 +215,7 @@ def _do_spectrum(args, report: Report) -> None:
     A = _load_algebra(args.input[0])
     if not A.is_total():
         raise DomainError("spectrum needs a total Boolean algebra")
+    _boolean_block(A, A.elements())
     sp = stone_spectrum(A, frozenset(A.elements()))
     report.results = {
         "points": [A.labels[p] for p in sp.points],

@@ -16,7 +16,7 @@ import itertools
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     AmalgamError,
@@ -28,13 +28,12 @@ from .errors import (
 )
 from .core import (
     UNDEF,
-    _SMALL_MAX,
     PartialBooleanAlgebra,
     PbaMorphism,
     _bit_positions,
+    _boolean_block,
     _compile_clauses,
     _count_morphisms,
-    _gather,
     _satisfies_clauses,
     atoms_of_subalgebra,
     check_morphism,
@@ -140,53 +139,6 @@ def mediating_morphism(A: PartialBooleanAlgebra, c: Cocone) -> PbaMorphism:
 # Cocone generation and colimit verification
 # ---------------------------------------------------------------------------
 
-def _boolean_block(X: PartialBooleanAlgebra, elems: Iterable[int]
-                   ) -> tuple[list[int], list[int]]:
-    """The atoms of the block ``elems`` of X, ascending, and the element
-    joining each set of them: ``element[s]`` for the atom set with bitmask
-    ``s``.  Raises InvalidAlgebraError, naming the block, unless X's zero,
-    one, neg, comm, meet and join on the block are exactly those of the
-    Boolean algebra on its atoms."""
-    es = sorted(elems)
-    zero = X.zero
-    gather = _gather(es)
-    # an atom's meet row over the block holds only itself and zero
-    atoms = [a for a in es if a != zero
-             and (row := gather(X.meet[a])).count(a) + row.count(zero) == len(es)]
-    below = {x: sum(1 << i for i, a in enumerate(atoms) if X.meet[a][x] == a)
-             for x in es}
-    size = 1 << len(atoms)
-    if len(es) == size == len(set(below.values())):
-        element = [zero] * size
-        for x, s in below.items():
-            element[s] = x
-        full = size - 1
-        block = sum(1 << x for x in es)
-        # a bijection onto the atom sets that carries 0, 1, neg, meet and
-        # join to the empty set, all atoms, complement, intersection, union
-        if (element[0] == zero and element[full] == X.one
-                and all(X.comm[x] & block == block and X.neg[x] == element[full ^ s]
-                        for x, s in below.items())):
-            if len(es) > _SMALL_MAX:
-                from ._rowbands import transport_rows
-                mask_at: list[int | None] = [None] * (X.n + 1)
-                for x, s in below.items():
-                    mask_at[x] = s
-                if next(transport_rows(X, es, mask_at), None) is None:
-                    return atoms, element
-            else:
-                subsets = range(size)
-                get = _gather(element)
-                if all(get(X.meet[x]) == tuple(map(element.__getitem__,
-                                                   map(s.__and__, subsets)))
-                       and get(X.join[x]) == tuple(map(element.__getitem__,
-                                                       map(s.__or__, subsets)))
-                       for x, s in below.items()):
-                    return atoms, element
-    names = ", ".join(X.labels[x] for x in es)
-    raise InvalidAlgebraError(f"block {{{names}}} is not the Boolean algebra on its atoms")
-
-
 # a maximal block of A: (its elements ascending, its atom count, the atom
 # set below each of those elements)
 _Block = tuple[tuple[int, ...], int, list[int]]
@@ -209,20 +161,16 @@ def _maximal_blocks(A: PartialBooleanAlgebra) -> list[_Block]:
         embed = max(remaining, key=lambda t: (len(covered.intersection(t)), -len(t)))
         covered.update(embed)
         remaining.remove(embed)
-        atoms, element = _boolean_block(A, embed)
-        below = {x: s for s, x in enumerate(element)}
-        blocks.append((embed, len(atoms), [below[a] for a in embed]))
+        atoms, below, _ = _boolean_block(A, embed)
+        blocks.append((embed, len(atoms), below))
     return blocks
 
 
 def _target_blocks(B: PartialBooleanAlgebra) -> list[tuple[int, list[int]]]:
     """Each maximal clique of B as (its atom count, its element per atom
     set)."""
-    out = []
-    for clique in maximal_cliques(B):
-        atoms, element = _boolean_block(B, _bit_positions(clique))
-        out.append((len(atoms), element))
-    return out
+    return [(len(atoms), element) for atoms, _, element in
+            (_boolean_block(B, _bit_positions(c)) for c in maximal_cliques(B))]
 
 
 def _block_homs(k: int, subsets: Sequence[int],
@@ -601,6 +549,10 @@ class TensorResult:
     atom_pairs: tuple[tuple[tuple[int, int], ...], ...]
 
 
+# tensor grid slots, summed over its objects, past which tensor_product stops
+_TENSOR_MAX_SLOTS = 50_000_000
+
+
 def tensor_product(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
                    max_carrier: int = 5000) -> TensorResult:
     """Amalgamated colimit of the grid of Boolean free products of members
@@ -625,8 +577,8 @@ def tensor_product(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
         pair_lists[obj] = pairs
         obj_offsets[obj] = total
         total += 1 << len(pairs)
-        if total > 50_000_000:
-            raise SearchCutoffError("tensor grid too large", limit=max_carrier)
+        if total > _TENSOR_MAX_SLOTS:
+            raise SearchCutoffError("tensor grid too large", limit=_TENSOR_MAX_SLOTS)
 
     parent = list(range(total))
 

@@ -386,8 +386,8 @@ class ValidationReport:
 
 
 # Carriers and blocks of more than this many elements decide their clean
-# rows in numpy, in pbalg._rowbands, and hand blocks to the transport check;
-# smaller ones keep the pure-Python row tests and never import numpy.
+# rows in numpy, in pbalg._rowbands, and word a failing block by the block
+# decoder; smaller ones keep the pure-Python tests and never import numpy.
 _SMALL_MAX = 32
 
 
@@ -436,11 +436,12 @@ def _boolean_axiom_violations(A: PartialBooleanAlgebra, elems: list[int]) -> lis
         return out  # closure failed; deeper axioms would read bad cells
 
     if len(elems) > _SMALL_MAX:
-        return _boolean_transport_violations(A, elems)
+        decoded = _decode_block(A, elems)
+        return [decoded] if isinstance(decoded, Violation) else []
 
     meet = A.meet
     join = A.join
-    # the closure pass reads each row from a on, and the transport check
+    # the closure pass reads each row from a on, and the block decoder
     # reads UNDEF as off the block; the loops below index every cell, so an
     # UNDEF before the diagonal stops them here
     for i, a in enumerate(elems):
@@ -476,54 +477,82 @@ def _boolean_axiom_violations(A: PartialBooleanAlgebra, elems: list[int]) -> lis
     return out
 
 
-def _boolean_transport_violations(A: PartialBooleanAlgebra, elems: list[int]) -> list[Violation]:
-    """Equivalent Boolean check for large cliques: the clique must map
-    bijectively onto the powerset of its atoms with meet/join/neg carried to
-    intersection/union/complement.  Quadratic instead of cubic."""
+def _decode_block(A: PartialBooleanAlgebra, elems: list[int]
+                  ) -> tuple[list[int], list[int], list[int]] | Violation:
+    """Decode the block ``elems`` (ascending) as the Boolean algebra on its
+    atoms, its minimal elements other than zero: return (atoms, below,
+    element), with ``below[p]`` the atom set of ``elems[p]`` as a bitmask
+    over ``atoms`` and ``element[s]`` the element over the atom set ``s``.
+    Unless the atom sets are distinct and neg, meet and join on the block
+    are their complement, intersection and union, return instead the first
+    Violation: the wrong atom count, two elements over one atom set, a
+    wrong negation, or the first wrong meet or join cell, row by row."""
     lab = A.labels
-    inside = set(elems)
+    meet, join = A.meet, A.join
     nonzero = [a for a in elems if a != A.zero]
     atoms = [a for a in nonzero
-             if not any(b != a and A.meet[a][b] == b for b in nonzero)]
-    k = len(atoms)
-    if len(elems) != 1 << k:
-        return [Violation("clique_not_boolean", tuple(elems[:3]),
-                          f"clique of size {len(elems)} has {k} atoms")]
-    # mask_at[t]: the atom set below t, None off the clique (UNDEF included)
-    mask_at: list[int | None] = [None] * (A.n + 1)
-    seen_mask: dict[int, int] = {}
-    for t in elems:
-        m = 0
-        for i, a in enumerate(atoms):
-            if A.meet[a][t] == a:
-                m |= 1 << i
-        if m in seen_mask:
-            return [Violation("clique_not_boolean", (seen_mask[m], t),
-                              f"elements {lab[seen_mask[m]]} and {lab[t]} sit "
-                              "over the same atom set")]
-        seen_mask[m] = t
-        mask_at[t] = m
-    full = (1 << k) - 1
-    for t in elems:
-        if A.neg[t] not in inside or mask_at[A.neg[t]] != full ^ mask_at[t]:
-            return [Violation("complement", (t,),
-                              f"neg({lab[t]}) is not the atomwise complement")]
-    # only a row whose cells do not all carry the atom intersection and
-    # union is walked cell by cell, so the first bad cell and its report
-    # are the same
-    from ._rowbands import transport_rows
-    for a in transport_rows(A, elems, mask_at):
-        ma = mask_at[a]
-        for b in elems:
-            if mask_at[A.meet[a][b]] != ma & mask_at[b]:
-                return [Violation("clique_not_boolean", (a, b),
-                                  f"meet({lab[a]}, {lab[b]}) is not the atom "
-                                  "intersection")]
-            if mask_at[A.join[a][b]] != ma | mask_at[b]:
-                return [Violation("clique_not_boolean", (a, b),
-                                  f"join({lab[a]}, {lab[b]}) is not the atom "
-                                  "union")]
-    return []
+             if not any(b != a and meet[a][b] == b for b in nonzero)]
+    size = 1 << len(atoms)
+    if len(elems) != size:
+        return Violation("clique_not_boolean", tuple(elems[:3]),
+                         f"clique of size {len(elems)} has {len(atoms)} atoms")
+    below = [0] * size
+    gather = _gather(elems)
+    for i, a in enumerate(atoms):
+        for p in itertools.compress(itertools.count(), map(a.__eq__, gather(meet[a]))):
+            below[p] |= 1 << i
+    element = [UNDEF] * size
+    for t, m in zip(elems, below):
+        if element[m] != UNDEF:
+            return Violation("clique_not_boolean", (element[m], t),
+                             f"elements {lab[element[m]]} and {lab[t]} sit "
+                             "over the same atom set")
+        element[m] = t
+    # element is now a bijection from the atom sets onto the block, so a
+    # cell holds the element over an atom set exactly when it lies in the
+    # block with that atom set
+    full = size - 1
+    for t, m in zip(elems, below):
+        if A.neg[t] != element[full ^ m]:
+            return Violation("complement", (t,),
+                             f"neg({lab[t]}) is not the atomwise complement")
+    # the rows are walked cell by cell, and above _SMALL_MAX only those a
+    # numpy test names, so the first bad cell and its report are the same
+    rows: Iterable[int] = range(size)
+    if len(elems) > _SMALL_MAX:
+        from ._rowbands import transport_rows
+        rows = transport_rows(A, elems, below)
+    for p in rows:
+        a, m = elems[p], below[p]
+        row_m, row_j = meet[a], join[a]
+        for b, s in zip(elems, below):
+            if row_m[b] != element[m & s]:
+                return Violation("clique_not_boolean", (a, b),
+                                 f"meet({lab[a]}, {lab[b]}) is not the atom "
+                                 "intersection")
+            if row_j[b] != element[m | s]:
+                return Violation("clique_not_boolean", (a, b),
+                                 f"join({lab[a]}, {lab[b]}) is not the atom "
+                                 "union")
+    return atoms, below, element
+
+
+def _boolean_block(A: PartialBooleanAlgebra, elems: Iterable[int]
+                   ) -> tuple[list[int], list[int], list[int]]:
+    """The block ``elems`` of A decoded by ``_decode_block``: its atoms, the
+    atom set of each element (ascending) and the element over each atom
+    set.  Raises InvalidAlgebraError, naming the block, unless A's zero,
+    one, neg, comm, meet and join on the block are exactly those of the
+    Boolean algebra on its atoms.  Zero needs no check of its own: the
+    bottom of a decoded block is zero, as any other would be an atom."""
+    es = sorted(elems)
+    decoded = _decode_block(A, es)
+    if not isinstance(decoded, Violation):
+        block = sum(1 << x for x in es)
+        if decoded[2][-1] == A.one and all(A.comm[x] & block == block for x in es):
+            return decoded
+    names = ", ".join(A.labels[x] for x in es)
+    raise InvalidAlgebraError(f"block {{{names}}} is not the Boolean algebra on its atoms")
 
 
 def validate(A: PartialBooleanAlgebra) -> ValidationReport:
@@ -589,9 +618,14 @@ def validate(A: PartialBooleanAlgebra) -> ValidationReport:
                     out.append(Violation(f"{name}_commutative", (a, b),
                                          f"{name} not commutative on ({lab[a]}, {lab[b]})"))
 
+    # a block the decoder certifies is Boolean with zero at the empty atom set
+    # and, as neg(0) = 1 here, one at the full one: the block checks, which
+    # word a failing block's violations, would report nothing on it
     if not any(v.rule.startswith(("comm_", "neg_", "op_defined")) for v in out):
         for clique in maximal_cliques(A):
-            out.extend(_boolean_axiom_violations(A, list(_bits(clique))))
+            elems = list(_bits(clique))
+            if isinstance(_decode_block(A, elems), Violation):
+                out.extend(_boolean_axiom_violations(A, elems))
 
     return ValidationReport(tuple(out))
 

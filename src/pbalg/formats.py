@@ -117,8 +117,8 @@ def parse_algebra_text(text: str) -> PartialBooleanAlgebra:
 
     comm_pairs: list[tuple[int, int]] = []
     declared: set[tuple[int, int]] = set()
-    meets: dict[tuple[int, int], tuple[int, int]] = {}
-    joins: dict[tuple[int, int], tuple[int, int]] = {}
+    meets: dict[tuple[int, int], int] = {}
+    joins: dict[tuple[int, int], int] = {}
     for i in range(pos, len(lines)):
         ln, content = lines[i]
         parts = content.split()
@@ -154,15 +154,15 @@ def parse_algebra_text(text: str) -> PartialBooleanAlgebra:
             table = meets if kind == "meet" else joins
             if (a, b) in table:
                 raise FormatError(f"duplicate {kind} entry", line=ln)
-            table[(a, b)] = (v, ln)
+            table[(a, b)] = v
         else:
             raise FormatError(f"unknown directive {kind!r}", line=ln)
 
     try:
         return make_pba(
             n, zero, one, neg, comm_pairs,
-            [(a, b, v) for (a, b), (v, _) in meets.items()],
-            [(a, b, v) for (a, b), (v, _) in joins.items()],
+            [(a, b, v) for (a, b), v in meets.items()],
+            [(a, b, v) for (a, b), v in joins.items()],
             labels)
     except StructuralError as exc:
         raise FormatError(str(exc)) from exc

@@ -3,8 +3,11 @@ partial Boolean algebra, with its structural reports.
 
 Enumeration goes block by block: every totally commeasurable subset lives
 inside a maximal clique, and the Boolean subalgebras of a finite Boolean
-block correspond to the set partitions of its atoms.  This avoids scanning
-all subsets of the carrier.
+block correspond to the set partitions of its atoms.  Each maximal clique
+is decoded once, and certified Boolean, by ``core._boolean_block``; a
+partition's member is read off the decoded element table, as the element
+over each union of the partition's parts.  This avoids scanning all subsets
+of the carrier.
 """
 
 from __future__ import annotations
@@ -17,11 +20,11 @@ from .errors import DomainError, SearchCutoffError
 from .core import (
     PartialBooleanAlgebra,
     _bit_positions,
+    _boolean_block,
     _candidate_classes,
     _columns,
     _isomorphism_search,
     atoms_of_subalgebra,
-    join_all,
     maximal_cliques,
 )
 
@@ -93,17 +96,19 @@ class SubalgebraPoset:
 def boolean_subalgebras(A: PartialBooleanAlgebra,
                         max_members: int = 100_000) -> SubalgebraPoset:
     """Enumerate every total Boolean subalgebra of A, deduplicated and
-    canonically ordered, together with the inclusion order."""
+    canonically ordered, together with the inclusion order.  Raises
+    InvalidAlgebraError, naming the block, unless every maximal clique of A
+    is the Boolean algebra on its atoms."""
     found: set[frozenset[int]] = set()
     for clique in maximal_cliques(A):
-        elems = frozenset(i for i in range(A.n) if (clique >> i) & 1)
-        atoms = atoms_of_subalgebra(A, elems)
-        for partition in _set_partitions(atoms):
-            member = frozenset(
-                join_all(A, [a for part in chosen for a in part])
-                for r in range(len(partition) + 1)
-                for chosen in itertools.combinations(partition, r))
-            found.add(member)
+        atoms, _, element = _boolean_block(A, _bit_positions(clique))
+        for partition in _set_partitions([1 << i for i in range(len(atoms))]):
+            # a partition's member: the element over each union of its parts
+            unions = [0]
+            for part in partition:
+                m = sum(part)
+                unions += [u | m for u in unions]
+            found.add(frozenset(map(element.__getitem__, unions)))
             if len(found) > max_members:
                 raise SearchCutoffError(
                     f"subalgebra enumeration exceeded {max_members} members",

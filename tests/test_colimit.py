@@ -20,6 +20,7 @@ from pbalg._rowbands import tensor_tables
 from pbalg import colimit
 from pbalg.core import (
     PbaMorphism,
+    _boolean_block,
     atoms_of_subalgebra,
     boolean_algebra,
     check_morphism,
@@ -278,19 +279,20 @@ def test_block_hom_lists_match_enumeration(mo2, mo3):
 
 
 def test_boolean_block_of_a_boolean_algebra():
-    atoms, element = colimit._boolean_block(boolean_algebra(3), range(8))
-    assert atoms == [1, 2, 4] and element == list(range(8))
-    assert colimit._boolean_block(boolean_algebra(3), [0, 3, 4, 7]) == ([3, 4], [0, 3, 4, 7])
-    assert colimit._boolean_block(trivial_algebra(), [0]) == ([], [0])
+    atoms, below, element = _boolean_block(boolean_algebra(3), range(8))
+    assert atoms == [1, 2, 4] and below == element == list(range(8))
+    assert _boolean_block(boolean_algebra(3), [0, 3, 4, 7]) == (
+        [3, 4], [0, 1, 2, 3], [0, 3, 4, 7])
+    assert _boolean_block(trivial_algebra(), [0]) == ([], [0], [0])
     # past 32 elements the transport row kernel reads the meet and join rows
-    assert colimit._boolean_block(boolean_algebra(6), range(64)) == (
-        [1, 2, 4, 8, 16, 32], list(range(64)))
+    assert _boolean_block(boolean_algebra(6), range(64)) == (
+        [1, 2, 4, 8, 16, 32], list(range(64)), list(range(64)))
 
 
 def _with(A, **cells):
     """A copy of A with table cells replaced: ``meet=[(a, b, v)]`` sets
     both (a, b) and (b, a), ``neg=[(a, v)]`` one entry, ``comm=[(a, b)]``
-    clears the pair."""
+    clears the pair; ``one=v`` moves one."""
     meet, join = [list(r) for r in A.meet], [list(r) for r in A.join]
     neg, comm = list(A.neg), list(A.comm)
     for table, name in ((meet, "meet"), (join, "join")):
@@ -301,8 +303,9 @@ def _with(A, **cells):
     for a, b in cells.get("comm", ()):
         comm[a] &= ~(1 << b)
         comm[b] &= ~(1 << a)
-    return dataclasses.replace(A, neg=tuple(neg), comm=tuple(comm),
-                               meet=tuple(map(tuple, meet)), join=tuple(map(tuple, join)))
+    return dataclasses.replace(A, one=cells.get("one", A.one), neg=tuple(neg),
+                               comm=tuple(comm), meet=tuple(map(tuple, meet)),
+                               join=tuple(map(tuple, join)))
 
 
 @pytest.mark.parametrize("cells, elems", [
@@ -310,6 +313,7 @@ def _with(A, **cells):
     pytest.param({"join": [(2, 2, 3)]}, range(4), id="join"),
     pytest.param({"neg": [(1, 1)]}, range(4), id="neg"),
     pytest.param({"comm": [(1, 2)]}, range(4), id="comm"),
+    pytest.param({"one": 1}, range(4), id="one"),
     pytest.param({}, [0, 1, 3], id="not-a-power-of-two"),
     pytest.param({}, [0, 1, 2, 7], id="not-closed"),
     pytest.param({"meet": [(5, 9, 0)]}, range(64), id="large-meet"),
@@ -322,15 +326,16 @@ def _with(A, **cells):
 def test_non_boolean_block_is_rejected(cells, elems):
     X = _with(boolean_algebra(max(elems).bit_length()), **cells)
     with pytest.raises(InvalidAlgebraError, match=r"block \{"):
-        colimit._boolean_block(X, elems)
+        _boolean_block(X, elems)
 
 
 def test_non_boolean_block_in_either_carrier_is_rejected(mo2):
     # a join cell inside a block of mo2 or of the target is wrong; the
-    # subalgebra poset of mo2 does not read joins of an atom with itself
+    # subalgebra poset decodes the same blocks and rejects it too
     bad_a = _with(mo2, join=[(2, 2, 1)])
     assert not validate(bad_a).ok
-    assert boolean_subalgebras(bad_a).members == boolean_subalgebras(mo2).members
+    with pytest.raises(InvalidAlgebraError, match=r"block \{0, 1, x0, x0'\}"):
+        boolean_subalgebras(bad_a)
     with pytest.raises(InvalidAlgebraError, match=r"block \{0, 1, x0, x0'\}"):
         cocones_into(bad_a, boolean_algebra(2))
     bad_b = _with(boolean_algebra(2), meet=[(1, 2, 1)])
@@ -677,6 +682,14 @@ def test_tensor_validates(mo2, mo3):
     for A, B in [(mo2, mo2), (mo3, boolean_algebra(2))]:
         T = tensor_product(A, B)
         assert validate(T.algebra).ok
+
+
+def test_tensor_grid_cutoff_names_its_slot_bound():
+    # the grid's objects hold more than 50,000,000 slots: the error names
+    # that bound, not the carrier cutoff
+    with pytest.raises(SearchCutoffError, match="^tensor grid too large$") as info:
+        tensor_product(boolean_algebra(5), boolean_algebra(6))
+    assert info.value.limit == colimit._TENSOR_MAX_SLOTS == 50_000_000
 
 
 # Digests of T(A, B) taken from the construction that united every grid

@@ -3,6 +3,7 @@ generated subalgebras, morphisms."""
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import inspect
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    _walk_block_violations,
     bron_kerbosch_full_scan,
     brute_force_isomorphic,
     check_morphism_pairwise,
@@ -55,8 +57,10 @@ from pbalg.core import (
     validate,
 )
 from pbalg.core import (
+    _bit_positions,
     _boolean_axiom_violations,
-    _boolean_transport_violations,
+    _boolean_block,
+    _decode_block,
     _certify_isomorphism,
     _columns,
     _compile_clauses,
@@ -202,6 +206,9 @@ VALIDATE_CASES = {
     "bool6-join-wrong": (
         "bool6", [("join", 5, 9, 15), ("join", 9, 5, 15)], (),
         [("clique_not_boolean", (5, 9), "join(000101, 001001) is not the atom union")]),
+    "bool6-meet-merges-atom-sets": (
+        "bool6", [("meet", 1, 6, 1), ("meet", 6, 1, 1)], (),
+        [("clique_not_boolean", (6, 7), "elements 000110 and 000111 sit over the same atom set")]),
 }
 
 
@@ -215,14 +222,14 @@ def test_validate_row_passes_keep_reports(case):
 
 def test_transport_check_reports_undefined_cell_below_diagonal():
     # validate reports an UNDEF at (9, 5) on a commeasurable pair from its
-    # pair walk and then checks no block; the 64-element block's transport
-    # check, read on its own, reports the cell instead of failing on the
-    # missing atom set
+    # pair walk and then checks no block; the 64-element block's decoder,
+    # read on its own, reports the cell instead of failing on the missing
+    # atom set
     A = _corrupt(boolean_algebra(6), [("meet", 9, 5, UNDEF)])
     assert [(v.rule, v.witness) for v in validate(A).violations] == [
         ("op_defined_iff_comm", (9, 5)), ("meet_commutative", (5, 9))]
-    assert [(v.rule, v.witness) for v in _boolean_transport_violations(A, list(range(64)))] == [
-        ("clique_not_boolean", (9, 5))]
+    v = _decode_block(A, list(range(64)))
+    assert (v.rule, v.witness) == ("clique_not_boolean", (9, 5))
 
 
 @pytest.mark.parametrize("name", ["meet", "join"])
@@ -274,6 +281,39 @@ def test_validate_matches_cell_walk_on_one_cell_corruptions():
     finally:
         core.maximal_cliques.cache_clear()
     assert checked > 800
+
+
+def test_block_decoder_matches_cell_walk_on_one_cell_corruptions():
+    # on the carriers and those of their corruptions whose pair walk is
+    # clean, the raising decoder rejects a maximal clique exactly when the
+    # cell walk of validate's block checks (the axiom loops up to 32
+    # elements, the transport check above) reports a violation on it
+    carriers = [*small_corpus()[2:], boolean_algebra(6),
+                tensor_product(boolean_algebra(2), boolean_algebra(3)).algebra,
+                cabello18_algebra()]
+    rng = random.Random(19)
+    pair_rules = ("comm_", "neg_", "op_defined")
+    outcomes = collections.Counter()
+    try:
+        for A, count in zip(carriers, (40, 40, 40, 40, 40, 15)):
+            for X in (A, *_one_cell_corruptions(A, rng, count)):
+                if any(r.startswith(pair_rules) or r.endswith("_commutative")
+                       for r in validate(X).rules()):
+                    continue
+                for clique in maximal_cliques(X):
+                    elems = list(_bit_positions(clique))
+                    walked = bool(_walk_block_violations(X, elems))
+                    try:
+                        _boolean_block(X, elems)
+                        rejected = False
+                    except InvalidAlgebraError:
+                        rejected = True
+                    assert rejected == walked, (A.n, elems)
+                    outcomes[len(elems) > core._SMALL_MAX, rejected] += 1
+    finally:
+        core.maximal_cliques.cache_clear()
+    assert min(outcomes[large, rejected] for large in (False, True)
+               for rejected in (False, True)) > 0, outcomes
 
 
 def test_undefined_entry_read_is_an_error(mo2):

@@ -299,16 +299,20 @@ def test_colimit_check_rejects_invalid_carrier(tmp_path, name, old, new, rule):
     assert data["error"].startswith(f"input fails validation: [{rule}] ")
 
 
-@pytest.mark.parametrize("verb", ["ks-search", "reflect"])
+@pytest.mark.parametrize("verb", ["ks-search", "reflect", "subalgebras", "bohrify",
+                                  "spectrum", "tensor"])
 def test_state_verbs_reject_non_boolean_block(tmp_path, verb):
     # bool2 with neg(11) = 00: its one block is not Boolean, so it has no
-    # two-valued states to count; these verbs used to report 2 and pass
+    # two-valued states to count and no subalgebra poset; ks-search and
+    # reflect used to report 2 and pass, and subalgebras, bohrify and
+    # spectrum to report a made-up poset or spectrum
     with open(corpus_path("bool2.pba"), encoding="utf-8") as fh:
         text = fh.read()
     assert "neg 3 2 1 0\n" in text
     path = tmp_path / "bad.pba"
     path.write_text(text.replace("neg 3 2 1 0\n", "neg 3 0 1 0\n"))
-    code, out = run_cli(verb, str(path))
+    extra = [corpus_path("bool1.pba")] if verb == "tensor" else []
+    code, out = run_cli(verb, str(path), *extra)
     data = json.loads(out)
     assert code == 1 and not data["passed"] and data["results"] == {}
     assert data["error"] == "block {00, 01, 10, 11} is not the Boolean algebra on its atoms"

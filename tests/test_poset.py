@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from helpers import (
@@ -21,7 +23,7 @@ from pbalg.core import (
     paste_blocks,
     trivial_algebra,
 )
-from pbalg.corpus import generated_corpus, small_corpus
+from pbalg.corpus import chain_of_triangles, generated_corpus, small_corpus
 from pbalg.poset import (
     boolean_subalgebras,
     boolean_subalgebras_oracle,
@@ -64,6 +66,15 @@ def test_enumeration_matches_oracle_on_pasted_algebra():
     A = paste_blocks(block_hypergraph([["a", "b", "c"], ["c", "d", "e"]]))
     P = boolean_subalgebras(A)
     assert set(P.members) == boolean_subalgebras_oracle(A)
+
+
+def test_members_on_overlapping_blocks_are_pinned():
+    # every generated corpus carrier and two triangle chains, whose maximal
+    # blocks overlap: the member lists, each member as its sorted elements,
+    # hashed as taken while members were built by joins of their atoms
+    algs = [*generated_corpus(50, 24), chain_of_triangles(2), chain_of_triangles(3)]
+    text = repr([[sorted(m) for m in boolean_subalgebras(A).members] for A in algs])
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "d5a5f8b07eeb5e69"
 
 
 def test_members_are_their_own_closures(mo2):
