@@ -35,6 +35,7 @@ from .core import (
     _compile_clauses,
     _count_morphisms,
     _satisfies_clauses,
+    _trusted_algebra,
     atoms_of_subalgebra,
     check_morphism,
     compose,
@@ -665,7 +666,9 @@ def tensor_product(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
     labels[zero_idx] = "0"
     if one_idx != zero_idx:
         labels[one_idx] = "1"
-    T = PartialBooleanAlgebra(
+    # tensor_tables writes every cell from a local element list, so the
+    # tables are in range and the constructor's range checks are skipped
+    T = _trusted_algebra(
         n=n, zero=zero_idx, one=one_idx, neg=neg, comm=tuple(comm_rows),
         meet=meet, join=join, labels=tuple(labels))
     report = validate(T)

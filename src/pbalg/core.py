@@ -399,9 +399,13 @@ def _gather(elems: list[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
     return itemgetter(*elems)
 
 
-def _boolean_axiom_violations(A: PartialBooleanAlgebra, elems: list[int]) -> list[Violation]:
+def _boolean_axiom_violations(A: PartialBooleanAlgebra, elems: list[int],
+                              decoded: Violation | None = None) -> list[Violation]:
     """Check that a clique, with the restricted operations, is a Boolean
-    algebra: closure, lattice axioms, distributivity, bounds, complements."""
+    algebra: closure, lattice axioms, distributivity, bounds, complements.
+    Past the closure pass a clique of more than _SMALL_MAX elements is
+    worded by the block decoder; ``decoded`` is its Violation on this
+    clique when the caller has already run it."""
     out = []
     lab = A.labels
     inside = set(elems)
@@ -436,7 +440,8 @@ def _boolean_axiom_violations(A: PartialBooleanAlgebra, elems: list[int]) -> lis
         return out  # closure failed; deeper axioms would read bad cells
 
     if len(elems) > _SMALL_MAX:
-        decoded = _decode_block(A, elems)
+        if decoded is None:
+            decoded = _decode_block(A, elems)
         return [decoded] if isinstance(decoded, Violation) else []
 
     meet = A.meet
@@ -624,8 +629,9 @@ def validate(A: PartialBooleanAlgebra) -> ValidationReport:
     if not any(v.rule.startswith(("comm_", "neg_", "op_defined")) for v in out):
         for clique in maximal_cliques(A):
             elems = list(_bits(clique))
-            if isinstance(_decode_block(A, elems), Violation):
-                out.extend(_boolean_axiom_violations(A, elems))
+            decoded = _decode_block(A, elems)
+            if isinstance(decoded, Violation):
+                out.extend(_boolean_axiom_violations(A, elems, decoded))
 
     return ValidationReport(tuple(out))
 
@@ -1045,6 +1051,15 @@ def check_morphism(f: PbaMorphism) -> MorphismCheck:
         return MorphismCheck(False, clause, (a, b),
                              f"{clause} not preserved at ({A.labels[a]}, {A.labels[b]})")
     return MorphismCheck(True)
+
+
+def _trusted_algebra(**fields) -> PartialBooleanAlgebra:
+    """A PartialBooleanAlgebra built from its fields without the shape and
+    range checks of ``__post_init__``, for tables the caller has just built
+    in range.  It certifies nothing else: the caller still validates."""
+    A = object.__new__(PartialBooleanAlgebra)
+    A.__dict__.update(fields)
+    return A
 
 
 def _trusted_morphism(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,

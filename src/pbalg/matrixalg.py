@@ -346,32 +346,54 @@ def projection_supremum(ps: Sequence[np.ndarray], dim: int | None = None,
 _CLOSURE_MAX_PROJECTIONS = 4000
 
 
+def _keys(stack: np.ndarray) -> list[tuple[float, ...]]:
+    """Dedup key of each matrix in a stack: its entries rounded to 7
+    decimals as interleaved (real, imag) floats, hashable for deduplication
+    and ordered for the canonical sort.  The one key routine of this module."""
+    r = np.round(np.asarray(stack, dtype=complex), 7) + 0.0  # normalize -0.0
+    flat = r.view(np.float64).reshape(len(r), 2 * r.shape[-1] ** 2)
+    return list(map(tuple, flat.tolist()))
+
+
 class _ProjectionPool:
     """Deduplicated projection store: rounded-entry keys plus a final gap
-    assertion (nearest distinct pair must exceed 10x the tolerance)."""
+    assertion (nearest distinct pair must exceed 10x the tolerance).  The
+    entries are also kept in one growing stack, so a closure turn can test
+    a projection against all earlier ones without re-stacking them."""
 
     def __init__(self, tol: float):
         self.tol = tol
         self.mats: list[np.ndarray] = []
         self.keys: list[tuple[float, ...]] = []
         self._index: dict[tuple[float, ...], int] = {}
+        self._stack: np.ndarray | None = None
 
-    @staticmethod
-    def _key(m: np.ndarray) -> tuple[float, ...]:
-        """Entries rounded to 7 decimals as interleaved (real, imag) floats:
-        hashable for deduplication and ordered for the canonical sort."""
-        r = np.round(np.asarray(m, dtype=complex), 7) + 0.0  # normalize -0.0
-        return tuple(r.view(np.float64).ravel().tolist())
+    @property
+    def stack(self) -> np.ndarray:
+        """The entries so far as one (n, dim, dim) complex array."""
+        return self._stack[:len(self.mats)]
 
     def add(self, m: np.ndarray) -> int:
-        k = self._key(m)
-        if k in self._index:
-            return self._index[k]
-        i = len(self.mats)
-        self.mats.append(m)
-        self.keys.append(k)
-        self._index[k] = i
-        return i
+        return self.add_all(np.asarray(m)[None])[0]
+
+    def add_all(self, ms: np.ndarray) -> list[int]:
+        """Add a stack of matrices in order; the pool index of each."""
+        start = len(self.mats)
+        out = []
+        for m, k in zip(ms, _keys(ms)):
+            i = self._index.get(k)
+            if i is None:
+                i = self._index[k] = len(self.mats)
+                self.mats.append(m)
+                self.keys.append(k)
+            out.append(i)
+        n = len(self.mats)
+        if self._stack is None or n > len(self._stack):
+            self._stack = np.empty((2 * n,) + ms.shape[1:], dtype=complex)
+            start = 0
+        if n > start:
+            self._stack[start:n] = self.mats[start:]
+        return out
 
     def assert_gap(self):
         """Raise on the first pair (i, j), i < j, within 10x the tolerance;
@@ -395,13 +417,16 @@ def _projection_closure(
     """Close a projection family under complement and commuting meet/join
     and read off the validated partial Boolean algebra.
 
-    A worklist: when projection i's turn comes it is complemented and
-    tested once against each earlier j < i, and each commuting pair records
-    its meet and join as it is multiplied, so every unordered pair is
-    tested and multiplied exactly once.  The closure is operation-closed,
-    so its maximal commuting cliques are Boolean blocks and the algebra is
-    valid.  Elements are then ordered canonically (0 first, then by rank
-    and rounded entries), which only permutes the recorded tables.
+    A worklist: when projection p = i's turn comes it is complemented and
+    tested against every earlier j < i in one stacked product, and the
+    commuting pairs' meets QP and joins Q + p - QP are formed as stacks, so
+    every unordered pair is tested and multiplied exactly once.  The turn's
+    results join the pool in pair order (the complement, then each j
+    ascending with its meet before its join), so pool indices are those of
+    a pair-at-a-time walk.  The closure is operation-closed, so its maximal
+    commuting cliques are Boolean blocks and the algebra is valid.
+    Elements are then ordered canonically (0 first, then by rank and
+    rounded entries), which only permutes the recorded tables.
 
     Returns the algebra, its projections element by element, and the
     element of each seed.  Elements are labelled 0, 1 and p<i>; the first
@@ -419,14 +444,22 @@ def _projection_closure(
     i = 0
     while i < len(pool.mats):
         p = pool.mats[i]
-        comp.append(pool.add(eye - p))
-        for j in range(i):
-            q = pool.mats[j]
-            qp = q @ p
-            if float(np.abs(qp - p @ q).max()) > tol:
-                continue
-            meets.append((j, i, pool.add(qp)))
-            joins.append((j, i, pool.add(q + p - qp)))
+        q = pool.stack[:i]
+        qp = q @ p
+        # initial=0.0 defines the reduction when dim is 0; not (gap > tol)
+        # rather than gap <= tol, so a NaN commutator commutes, as in the
+        # pair test
+        gap = np.abs(qp - p @ q).max(axis=(1, 2), initial=0.0)
+        both = np.flatnonzero(~(gap > tol))
+        batch = np.empty((1 + 2 * len(both), dim, dim), dtype=complex)
+        batch[0] = eye - p
+        batch[1::2] = qp[both]
+        batch[2::2] = q[both] + p - batch[1::2]
+        ids = pool.add_all(batch)
+        comp.append(ids[0])
+        js = both.tolist()
+        meets.extend(zip(js, itertools.repeat(i), ids[1::2]))
+        joins.extend(zip(js, itertools.repeat(i), ids[2::2]))
         if len(pool.mats) > _CLOSURE_MAX_PROJECTIONS:
             raise SearchCutoffError(
                 f"projection closure exceeded {_CLOSURE_MAX_PROJECTIONS} elements",
@@ -499,13 +532,10 @@ def proj_commutes_with_subalgebra_functor(pa: ProjectionAlgebra) -> bool:
     side enumerates Boolean subalgebras of the carrier (order side).
     """
     A = pa.algebra
-    index = {_ProjectionPool._key(m): i for i, m in enumerate(pa.projections)}
+    index = {k: i for i, k in enumerate(_keys(np.stack(pa.projections)))}
 
     def idx(m) -> int:
-        k = _ProjectionPool._key(m)
-        if k not in index:
-            return -1
-        return index[k]
+        return index.get(_keys(m[None])[0], -1)
 
     lhs: set[frozenset[int]] = set()
     for clique in maximal_cliques(A):

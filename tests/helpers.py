@@ -6,9 +6,9 @@ oracles for cocones and maximal cliques, block-family cocones spread out to
 per-member legs with the member-by-member cocone walk and mediation, a
 Bron-Kerbosch whose pivot scan reads every vertex, crown-shaped orders, the
 point family a two-valued state induces on the member poset, validation and
-the tensor tables walked cell by cell, and the exhaustive oracles for the
-extension clause, generated subalgebras and the subalgebra poset's
-reports."""
+the tensor tables walked cell by cell, the projection closure walked one
+pair at a time, and the exhaustive oracles for the extension clause,
+generated subalgebras and the subalgebra poset's reports."""
 
 from __future__ import annotations
 
@@ -36,8 +36,10 @@ from pbalg.core import (
     check_morphism,
     enumerate_morphisms,
     generated_subalgebra,
+    make_pba,
     maximal_cliques,
     sub_algebra,
+    validate,
 )
 from pbalg.colimit import Cocone, TensorResult, tensor_factorization, tensor_product
 from pbalg.errors import (
@@ -47,6 +49,7 @@ from pbalg.errors import (
     InvalidAlgebraError,
     SearchCutoffError,
 )
+from pbalg.matrixalg import _CLOSURE_MAX_PROJECTIONS, _ProjectionPool, _as_matrix
 from pbalg.poset import StructureReport, SubalgebraPoset, structure_report
 
 
@@ -733,6 +736,69 @@ def walk_tensor_tables(n: int, objects: Iterable[Sequence[int]]):
                         raise AmalgamError(f"{name} ill-defined on the tensor carrier")
                     table[e][f] = v
     return tuple(neg), tuple(map(tuple, meet)), tuple(map(tuple, join))
+
+
+# ---------------------------------------------------------------------------
+# the projection closure walked one pair at a time
+# ---------------------------------------------------------------------------
+
+def walk_projection_closure(
+    seeds: Sequence[np.ndarray], dim: int, tol: float,
+    seed_labels: Sequence[str] = (),
+) -> tuple[PartialBooleanAlgebra, list[np.ndarray], list[int]]:
+    """matrixalg._projection_closure as it was before its stacked
+    commutator test: each turn complements projection i and tests,
+    multiplies and adds each earlier j < i in its own iteration.  The
+    reference for the batched closure's pool order and its output."""
+    pool = _ProjectionPool(tol)
+    eye = np.eye(dim, dtype=complex)
+    pool.add(np.zeros((dim, dim), dtype=complex))
+    one = pool.add(eye)
+    seed_ids = [pool.add(_as_matrix(p)) for p in seeds]
+    comp: list[int] = []  # complement of each pool entry
+    meets: list[tuple[int, int, int]] = []
+    joins: list[tuple[int, int, int]] = []
+    i = 0
+    while i < len(pool.mats):
+        p = pool.mats[i]
+        comp.append(pool.add(eye - p))
+        for j in range(i):
+            q = pool.mats[j]
+            qp = q @ p
+            if float(np.abs(qp - p @ q).max()) > tol:
+                continue
+            meets.append((j, i, pool.add(qp)))
+            joins.append((j, i, pool.add(q + p - qp)))
+        if len(pool.mats) > _CLOSURE_MAX_PROJECTIONS:
+            raise SearchCutoffError(
+                f"projection closure exceeded {_CLOSURE_MAX_PROJECTIONS} elements",
+                limit=_CLOSURE_MAX_PROJECTIONS)
+        i += 1
+    pool.assert_gap()
+
+    n = len(pool.mats)
+    ranks = [int(round(float(np.trace(m).real))) for m in pool.mats]
+    order = sorted(range(n), key=lambda k: (ranks[k] != 0, ranks[k], pool.keys[k]))
+    pos = [0] * n
+    for e, k in enumerate(order):
+        pos[k] = e
+    zero, one = pos[0], pos[one]
+    labels = ["0" if e == zero else "1" if e == one else f"p{e}" for e in range(n)]
+    neg = [pos[comp[k]] for k in order]
+    seed_elements = [pos[k] for k in seed_ids]
+    for lab, e in zip(seed_labels, seed_elements):
+        labels[e] = lab
+        if labels[neg[e]].startswith("p"):
+            labels[neg[e]] = "~" + lab
+    A = make_pba(n, zero, one, neg,
+                 [(pos[j], pos[k]) for j, k, _ in meets],
+                 [(pos[j], pos[k], pos[v]) for j, k, v in meets],
+                 [(pos[j], pos[k], pos[v]) for j, k, v in joins], labels)
+    report = validate(A)
+    if not report.ok:
+        raise InvalidAlgebraError("projection algebra fails validation",
+                                  report=report)
+    return A, [pool.mats[k] for k in order], seed_elements
 
 
 # ---------------------------------------------------------------------------

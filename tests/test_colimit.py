@@ -762,6 +762,16 @@ def test_tensor_cells_share_one_int_per_element():
     assert len({id(v) for row in T.meet + T.join for v in row}) <= T.n + 1
 
 
+def test_tensor_carrier_passes_the_checked_constructor():
+    # tensor_product builds T without the constructor's range checks; the
+    # checked constructor accepts each such carrier and gives it back equal
+    pairs = list(itertools.product(small_corpus(), repeat=2))
+    pairs.append((boolean_algebra(2), boolean_algebra(5)))
+    for A, B in pairs:
+        T = tensor_product(A, B).algebra
+        assert dataclasses.replace(T) == T
+
+
 def _tables_or_error(build, n, objects):
     try:
         return build(n, objects)

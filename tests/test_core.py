@@ -232,6 +232,23 @@ def test_transport_check_reports_undefined_cell_below_diagonal():
     assert (v.rule, v.witness) == ("clique_not_boolean", (9, 5))
 
 
+def test_validate_decodes_a_failing_large_block_once(monkeypatch):
+    # the decoder's certificate on a failing block of more than 32 elements
+    # is the Violation the block check reports, so no block is decoded twice
+    A = _corrupt(boolean_algebra(8), [("meet", 5, 9, 3), ("meet", 9, 5, 3)])
+    decode = core._decode_block
+    calls = []
+
+    def counting_decode(A, elems):
+        calls.append(len(elems))
+        return decode(A, elems)
+
+    monkeypatch.setattr(core, "_decode_block", counting_decode)
+    assert [(v.rule, v.witness) for v in validate(A).violations] == [
+        ("clique_not_boolean", (5, 9))]
+    assert calls == [256] and len(maximal_cliques(A)) == 1
+
+
 @pytest.mark.parametrize("name", ["meet", "join"])
 def test_clique_pass_stops_undefined_cell_below_diagonal(name):
     # the closure pass reads each row from the diagonal on; the axiom loops

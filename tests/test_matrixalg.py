@@ -4,8 +4,14 @@ bridge, mediating maps, ray ingestion, amplification."""
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+import random
+
 import numpy as np
 import pytest
+from helpers import walk_projection_closure
+from test_stone import _peres33_rays
 
 from pbalg import matrixalg
 from pbalg.core import (
@@ -16,6 +22,7 @@ from pbalg.core import (
     validate,
 )
 from pbalg.corpus import CABELLO_RAYS, PERES_RAYS
+from pbalg.data import corpus_path
 from pbalg.errors import (
     AmbiguousSpectrumError,
     CoconeError,
@@ -23,6 +30,7 @@ from pbalg.errors import (
     SearchCutoffError,
     StructuralError,
 )
+from pbalg.formats import parse_matrix_seed_text
 from pbalg.matrixalg import (
     MatrixSeed,
     amplify,
@@ -260,13 +268,15 @@ def test_projection_algebra_scalars_only():
     assert pa.algebra.n == 2
 
 
+PROJECTION_SEEDS = [
+    MatrixSeed(dim=2, generators=[SZ, SX]),
+    MatrixSeed(dim=3, generators=[np.diag([1.0, 2, 2]), np.diag([3.0, 3, 4])]),
+    MatrixSeed(dim=4, generators=[np.kron(SZ, np.eye(2)), np.kron(SX, np.eye(2))]),
+]
+
+
 def test_projection_algebra_validates():
-    seeds = [
-        MatrixSeed(dim=2, generators=[SZ, SX]),
-        MatrixSeed(dim=3, generators=[np.diag([1.0, 2, 2]), np.diag([3.0, 3, 4])]),
-        MatrixSeed(dim=4, generators=[np.kron(SZ, np.eye(2)), np.kron(SX, np.eye(2))]),
-    ]
-    for seed in seeds:
+    for seed in PROJECTION_SEEDS:
         pa = projection_algebra(seed)
         assert validate(pa.algebra).ok
 
@@ -425,6 +435,80 @@ def test_closure_budget_boundary(monkeypatch, budget):
         assert err.value.limit == budget
     else:
         assert rays_to_pba(list(CABELLO_RAYS), 4).algebra.n == 140
+
+
+def _ray_closure_input(rays, dim):
+    """The closure input rays_to_pba builds from pairwise non-parallel rays:
+    normalized rank-1 projections labelled r<i>."""
+    vecs = [np.asarray(r, dtype=complex) for r in rays]
+    seeds = [np.outer(v, v.conj()) for v in (v / np.linalg.norm(v) for v in vecs)]
+    return seeds, dim, matrixalg.STRUCT_TOL, [f"r{i}" for i in range(len(rays))]
+
+
+def _complete_bases(rays, dim):
+    def orth(a, b):
+        return abs(sum(x * y for x, y in zip(rays[a], rays[b]))) < 1e-9
+
+    return [t for t in itertools.combinations(range(len(rays)), dim)
+            if all(orth(a, b) for a, b in itertools.combinations(t, 2))]
+
+
+def _seeded_unions(count: int, seed: int):
+    """``count`` unions of two to six complete bases of Cabello-18, Peres-24
+    or Peres-33, drawn from one seeded generator."""
+    families = [(4, [tuple(map(float, r)) for r in CABELLO_RAYS]),
+                (4, [tuple(map(float, r)) for r in PERES_RAYS]),
+                (3, _peres33_rays())]
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        dim, rays = rng.choice(families)
+        bases = _complete_bases(rays, dim)
+        chosen = sorted(set().union(*rng.sample(bases, rng.randint(2, 6))))
+        out.append(_ray_closure_input([rays[i] for i in chosen], dim))
+    return out
+
+
+def _matrix_closure_input(seed: MatrixSeed):
+    base = [p for g in seed.generators for p in spectral_projections(g, seed.tol)]
+    return base, seed.dim, seed.tol, ()
+
+
+def _closure_inputs():
+    with open(corpus_path("pauli_zx.mseed"), encoding="utf-8") as fh:
+        pauli_zx = parse_matrix_seed_text(fh.read())
+    yield "cabello18", _ray_closure_input(CABELLO_RAYS, 4)
+    yield "peres24", _ray_closure_input(PERES_RAYS, 4)
+    yield "peres33", _ray_closure_input(_peres33_rays(), 3)
+    for k, args in enumerate(_seeded_unions(20, seed=2025)):
+        yield f"union{k:02d}", args
+    yield "pauli_zx", _matrix_closure_input(pauli_zx)
+    for k, seed in enumerate(PROJECTION_SEEDS):
+        yield f"seed{k}", _matrix_closure_input(seed)
+    yield "dim0", _matrix_closure_input(MatrixSeed(dim=0, generators=[]))
+
+
+def test_closure_matches_pair_walk(monkeypatch):
+    # the stacked commutator test adds each turn's results in the pair
+    # walk's order, so the pool holds the same keys at the same indices
+    # (which decides where the cutoff fires), and the canonical order,
+    # labels, tables and projections agree with the walk's
+    pools = []
+    assert_gap = matrixalg._ProjectionPool.assert_gap
+
+    def recording_assert_gap(pool):
+        pools.append(list(pool.keys))
+        assert_gap(pool)
+
+    monkeypatch.setattr(matrixalg._ProjectionPool, "assert_gap", recording_assert_gap)
+    for name, args in _closure_inputs():
+        A, mats, seeds = matrixalg._projection_closure(*args)
+        W, walk_mats, walk_seeds = walk_projection_closure(*args)
+        assert pools[-2] == pools[-1], name
+        for field in dataclasses.fields(A):
+            assert getattr(A, field.name) == getattr(W, field.name), (name, field.name)
+        assert seeds == walk_seeds, name
+        assert matrixalg._keys(np.stack(mats)) == matrixalg._keys(np.stack(walk_mats)), name
 
 
 def test_parallel_rays_deduplicated():
