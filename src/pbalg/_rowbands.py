@@ -1,11 +1,13 @@
 """Row-band kernels for carriers and blocks of more than ``core._SMALL_MAX``
-elements.
+elements: the row tests of validation and the block check, and the numpy
+half of ``core.block_tables``, the table writer.
 
 Each test kernel decides in numpy which rows of a table may hold a bad
 cell, and its caller walks only those rows cell by cell, so reports and
 errors are the walk's own.  A band is a run of consecutive rows of at most
 ``_BAND_CELLS`` cells: it is copied into arrays, tested and dropped before
-the next one, so no kernel holds a second copy of a whole table.  The
+the next one, so no kernel holds a second copy of a whole table; the
+writer scatters a block's cells a band of its rows at a time.  The
 callers import this module, and with it numpy, only on their large paths.
 """
 
@@ -88,25 +90,24 @@ def _scatter(table: np.ndarray, cells, values: np.ndarray) -> bool:
                  | (table[cells] != values)).any())
 
 
-def tensor_tables(n: int, objects: Iterable[Sequence[int]]
-                  ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...],
-                             tuple[tuple[int, ...], ...]]:
-    """neg, meet and join of the tensor carrier on n elements, written from
-    each maximal grid object in turn: ``local[mask]`` is the element of
-    each submask, so row ``local[a]`` holds ``local[a & b]`` and
-    ``local[a | b]`` at ``local[b]``.  A cell written twice with different
-    values raises AmalgamError, naming negation, else meet if the
-    conflicting band's meet writes conflict, else join.  Each cell of
-    the returned rows is one shared int object per element."""
+def scatter_tables(n: int, blocks: Iterable[Sequence[int]]
+                   ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...],
+                              tuple[tuple[int, ...], ...]]:
+    """neg, meet and join of ``core.block_tables``, scattered from each
+    block in turn: row ``local[a]`` gets ``local[a & b]`` and ``local[a | b]``
+    at ``local[b]``.  A cell written twice with different values raises
+    AmalgamError, naming negation, else meet if the conflicting band's meet
+    writes conflict, else join.  Each cell of the returned rows is one
+    shared int object per element."""
     neg = np.full(n, UNDEF, np.int32)
     meet = np.full((n, n), UNDEF, np.int32)
     join = np.full((n, n), UNDEF, np.int32)
-    for local in objects:
+    for local in blocks:
         local = np.array(local)
         masks = np.arange(len(local))
         if _scatter(neg, local, local[masks[-1] ^ masks]):
-            raise AmalgamError("negation ill-defined on the tensor carrier")
-        # a band of the object's rows at a time, both tables: the index and
+            raise AmalgamError("negation ill-defined on the carrier")
+        # a band of the block's rows at a time, both tables: the index and
         # value arrays stay within the band bound
         for r0, r1 in _bands(len(local), len(local)):
             cells = np.ix_(local[r0:r1], local)
@@ -114,7 +115,7 @@ def tensor_tables(n: int, objects: Iterable[Sequence[int]]
             for name, table, values in (("meet", meet, local[rows & masks]),
                                         ("join", join, local[rows | masks])):
                 if _scatter(table, cells, values):
-                    raise AmalgamError(f"{name} ill-defined on the tensor carrier")
+                    raise AmalgamError(f"{name} ill-defined on the carrier")
     objs = np.array([*range(n), UNDEF], object)
 
     def rows(table: np.ndarray) -> tuple[tuple[int, ...], ...]:

@@ -35,13 +35,15 @@ from .core import (
     _compile_clauses,
     _count_morphisms,
     _satisfies_clauses,
+    _target_blocks,
     _trusted_algebra,
     atoms_of_subalgebra,
+    block_tables,
+    boolean_algebra,
     check_morphism,
     compose,
     generated_subalgebra,
     maximal_cliques,
-    make_pba,
     sub_algebra,
     validate,
 )
@@ -165,13 +167,6 @@ def _maximal_blocks(A: PartialBooleanAlgebra) -> list[_Block]:
         atoms, below, _ = _boolean_block(A, embed)
         blocks.append((embed, len(atoms), below))
     return blocks
-
-
-def _target_blocks(B: PartialBooleanAlgebra) -> list[tuple[int, list[int]]]:
-    """Each maximal clique of B as (its atom count, its element per atom
-    set)."""
-    return [(len(atoms), element) for atoms, _, element in
-            (_boolean_block(B, _bit_positions(c)) for c in maximal_cliques(B))]
 
 
 def _block_homs(k: int, subsets: Sequence[int],
@@ -346,8 +341,6 @@ def verify_colimit(A: PartialBooleanAlgebra,
     clauses: an independent check that the search would list it
     ("filtered-enumeration").  Apexes larger than ``max_apex`` are rejected.
     """
-    from .core import boolean_algebra  # local to avoid import cycle at top
-
     if targets is None:
         targets = [boolean_algebra(1), boolean_algebra(2), boolean_algebra(3)]
     for B in targets:
@@ -378,8 +371,6 @@ def coproduct(algs: Sequence[PartialBooleanAlgebra]) -> tuple[PartialBooleanAlge
     """Disjoint union with all bottoms identified and all tops identified;
     elements of different summands are never commeasurable.  The empty
     coproduct is the initial algebra {0, 1}."""
-    from .core import boolean_algebra
-
     for A in algs:
         if A.zero == A.one:
             raise DomainError("coproduct summands must have 0 distinct from 1")
@@ -415,21 +406,12 @@ def coproduct(algs: Sequence[PartialBooleanAlgebra]) -> tuple[PartialBooleanAlge
             table[a] = offsets[si] + k
         pos.append(table)
 
-    neg = [1, 0] + [UNDEF] * (n - 2)
-    comm_pairs, meets, joins = [], [], []
-    for si, A in enumerate(algs):
-        t = pos[si]
-        for a in A.elements():
-            neg_target = t[A.neg[a]]
-            if t[a] >= 2:
-                neg[t[a]] = neg_target
-        for a in A.elements():
-            for b in A.elements():
-                if a < b and A.comm_pair(a, b):
-                    comm_pairs.append((t[a], t[b]))
-                    meets.append((t[a], t[b], t[A.meet[a][b]]))
-                    joins.append((t[a], t[b], t[A.join[a][b]]))
-    out = make_pba(n, 0, 1, neg, comm_pairs, meets, joins, labels)
+    # the maximal blocks of the coproduct are those of its summands
+    neg, comm, meet, join = block_tables(n, [
+        [pos[si][e] for e in element]
+        for si, A in enumerate(algs) for _, element in _target_blocks(A)])
+    out = _trusted_algebra(n=n, zero=0, one=1, neg=neg, comm=comm,
+                           meet=meet, join=join, labels=tuple(labels))
     report = validate(out)
     if not report.ok:
         raise InvalidAlgebraError("coproduct carrier fails validation", report=report)
@@ -445,29 +427,23 @@ def coproduct(algs: Sequence[PartialBooleanAlgebra]) -> tuple[PartialBooleanAlge
 def product(algs: Sequence[PartialBooleanAlgebra]) -> tuple[PartialBooleanAlgebra, list[PbaMorphism]]:
     """Cartesian product with commeasurability and operations defined
     componentwise.  The empty product is the terminal one-element algebra."""
-    from .core import boolean_algebra
-
     if not algs:
         return boolean_algebra(0), []
     tuples = list(itertools.product(*[range(A.n) for A in algs]))
-    index = {t: i for i, t in enumerate(tuples)}
-    n = len(tuples)
-    zero = index[tuple(A.zero for A in algs)]
-    one = index[tuple(A.one for A in algs)]
     labels = ["(" + ",".join(A.labels[x] for A, x in zip(algs, t)) + ")"
               for t in tuples]
-    neg = [index[tuple(A.neg[x] for A, x in zip(algs, t))] for t in tuples]
-    comm_pairs, meets, joins = [], [], []
-    for i, s in enumerate(tuples):
-        for j in range(i + 1, n):
-            t = tuples[j]
-            if all(A.comm_pair(x, y) for A, x, y in zip(algs, s, t)):
-                comm_pairs.append((i, j))
-                meets.append((i, j, index[tuple(
-                    A.meet[x][y] for A, x, y in zip(algs, s, t))]))
-                joins.append((i, j, index[tuple(
-                    A.join[x][y] for A, x, y in zip(algs, s, t))]))
-    out = make_pba(n, zero, one, neg, comm_pairs, meets, joins, labels)
+    # the maximal blocks of the product are the products of its factors'
+    # maximal blocks, each on its factors' atoms in turn: a tuple's index
+    # grows by one factor's element at a time, as in itertools.product
+    blocks = [[0]]
+    for A in algs:
+        blocks = [[p * A.n + e for e in element for p in local]
+                  for local in blocks for _, element in _target_blocks(A)]
+    neg, comm, meet, join = block_tables(len(tuples), blocks)
+    # every block holds zero at the empty atom set and one at the full one
+    out = _trusted_algebra(n=len(tuples), zero=blocks[0][0], one=blocks[0][-1],
+                           neg=neg, comm=comm, meet=meet, join=join,
+                           labels=tuple(labels))
     report = validate(out)
     if not report.ok:
         raise InvalidAlgebraError("product carrier fails validation", report=report)
@@ -507,8 +483,6 @@ def boolean_coproduct(C: PartialBooleanAlgebra, D: PartialBooleanAlgebra
     atoms_c = atoms_of_subalgebra(C, frozenset(C.elements()))
     atoms_d = atoms_of_subalgebra(D, frozenset(D.elements()))
     k = len(atoms_c) * len(atoms_d)
-    from .core import boolean_algebra
-
     out = boolean_algebra(k)
     pair_index = {(c, d): i for i, (c, d) in
                   enumerate(itertools.product(atoms_c, atoms_d))}
@@ -646,30 +620,19 @@ def tensor_product(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
     # Every smaller object's entries are images of a maximal object's
     # entries under a Boolean homomorphism, so the maximal objects write
     # every distinct entry and meet every conflict.  Each one's elements
-    # (local[mask] for each submask) are pairwise commeasurable.
-    objects_local = []
-    comm_rows = [0] * n
-    for obj in maximal:
-        start = slot(obj, 0)
-        local = list(map(root_index.__getitem__,
-                         root_of[start:start + (1 << len(pair_lists[obj]))]))
-        span = 0
-        for e in local:
-            span |= 1 << e
-        for e in local:
-            comm_rows[e] |= span
-        objects_local.append(local)
-    from ._rowbands import tensor_tables
-    neg, meet, join = tensor_tables(n, objects_local)
+    # (local[mask] for each submask) form one block of T.  They cover T, so
+    # every cell is in range and the constructor's range checks are skipped.
+    neg, comm, meet, join = block_tables(n, [
+        list(map(root_index.__getitem__,
+                 root_of[slot(obj, 0):slot(obj, 1 << len(pair_lists[obj]))]))
+        for obj in maximal])
 
     labels = [f"t{i}" for i in range(n)]
     labels[zero_idx] = "0"
     if one_idx != zero_idx:
         labels[one_idx] = "1"
-    # tensor_tables writes every cell from a local element list, so the
-    # tables are in range and the constructor's range checks are skipped
     T = _trusted_algebra(
-        n=n, zero=zero_idx, one=one_idx, neg=neg, comm=tuple(comm_rows),
+        n=n, zero=zero_idx, one=one_idx, neg=neg, comm=comm,
         meet=meet, join=join, labels=tuple(labels))
     report = validate(T)
     if not report.ok:

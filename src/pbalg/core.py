@@ -20,6 +20,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
+    AmalgamError,
     DomainError,
     InvalidAlgebraError,
     PbalgError,
@@ -258,6 +259,49 @@ def make_pba(
         join=tuple(tuple(r) for r in join),
         labels=tuple(labels),
     )
+
+
+def block_tables(n: int, blocks: Sequence[Sequence[int]]
+                 ) -> tuple[tuple[int, ...], tuple[int, ...],
+                            tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """neg, comm, meet and join of the carrier on n elements fixed by its
+    Boolean ``blocks``, each given as its element per atom-set mask,
+    ``local[mask]``: row ``local[a]`` holds ``local[a & b]`` and
+    ``local[a | b]`` at ``local[b]``, and ``neg[local[a]]`` is
+    ``local[full ^ a]``.  The blocks must cover every element, so that neg
+    is total and every cell is in range.  A cell written twice with
+    different values raises AmalgamError naming negation, meet or join.
+    Above _SMALL_MAX elements the cells are scattered in numpy
+    (``_rowbands``); smaller carriers never import numpy."""
+    comm = [0] * n
+    for local in blocks:
+        span = sum(1 << e for e in set(local))
+        for e in local:
+            comm[e] |= span
+    if n > _SMALL_MAX:
+        from ._rowbands import scatter_tables
+        neg, meet, join = scatter_tables(n, blocks)
+        return neg, tuple(comm), meet, join
+    # one cell at a time: each block's negation, then its rows in mask
+    # order, meet before join
+    neg = [UNDEF] * n
+    meet = [[UNDEF] * n for _ in range(n)]
+    join = [[UNDEF] * n for _ in range(n)]
+    for local in blocks:
+        full = len(local) - 1
+        for ma, e in enumerate(local):
+            if neg[e] not in (UNDEF, local[full ^ ma]):
+                raise AmalgamError("negation ill-defined on the carrier")
+            neg[e] = local[full ^ ma]
+        masks = range(len(local))
+        for ma, e in enumerate(local):
+            for name, row, op in (("meet", meet[e], ma.__and__), ("join", join[e], ma.__or__)):
+                for f, v in zip(local, map(local.__getitem__, map(op, masks))):
+                    if row[f] != v:
+                        if row[f] != UNDEF:
+                            raise AmalgamError(f"{name} ill-defined on the carrier")
+                        row[f] = v
+    return tuple(neg), tuple(comm), tuple(map(tuple, meet)), tuple(map(tuple, join))
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +604,13 @@ def _boolean_block(A: PartialBooleanAlgebra, elems: Iterable[int]
     raise InvalidAlgebraError(f"block {{{names}}} is not the Boolean algebra on its atoms")
 
 
+def _target_blocks(B: PartialBooleanAlgebra) -> list[tuple[int, list[int]]]:
+    """Each maximal clique of B as (its atom count, its element per atom
+    set), certified by ``_boolean_block``."""
+    return [(len(atoms), element) for atoms, _, element in
+            (_boolean_block(B, _bit_positions(c)) for c in maximal_cliques(B))]
+
+
 def validate(A: PartialBooleanAlgebra) -> ValidationReport:
     """Check every structural invariant and return a report with witnesses.
 
@@ -735,12 +786,13 @@ def paste_blocks(h: BlockHypergraph) -> PartialBooleanAlgebra:
                 if union(comps[0], j):
                     changed = True
 
-    roots = sorted({find(i) for i in range(len(pairs))})
+    # the last pass united nothing, so its groups are the classes, each
+    # with its pair indices ascending
+    roots = sorted(groups)
 
     def class_label(root: int) -> str:
-        reps = [pairs[i] for i in range(len(pairs)) if find(i) == root]
-        best = min(reps, key=lambda p: (len(p[1]), tuple(sorted(p[1]))))
-        bi, sub = best
+        bi, sub = min((pairs[i] for i in groups[root]),
+                      key=lambda p: (len(p[1]), tuple(sorted(p[1]))))
         if len(sub) == 1:
             return next(iter(sub))
         blk = h.blocks[bi]
@@ -761,32 +813,19 @@ def paste_blocks(h: BlockHypergraph) -> PartialBooleanAlgebra:
             return one
         return root_index[find(index[(bi, sub)])]
 
-    neg = [one, zero] + [UNDEF] * len(roots)
-    comm_pairs = []
-    meets = []
-    joins = []
+    # {0, 1} is a block of every pasting, and the only one of the empty one
+    blocks = [[zero, one]]
     for bi, blk in enumerate(h.blocks):
-        members = sorted(blk)
-        subs = [frozenset(s) for r in range(0, len(members) + 1)
-                for s in itertools.combinations(members, r)]
-        for s in subs:
-            e = elem_of(bi, s)
-            ne = elem_of(bi, blk - s)
-            if neg[e] == UNDEF:
-                neg[e] = ne
-            elif neg[e] != ne:
-                raise InvalidAlgebraError(
-                    f"pasting makes negation ill-defined at element {labels[e]}")
-        for s, t in itertools.combinations(subs, 2):
-            e, f = elem_of(bi, s), elem_of(bi, t)
-            comm_pairs.append((e, f))
-            meets.append((e, f, elem_of(bi, s & t)))
-            joins.append((e, f, elem_of(bi, s | t)))
-
+        subs = [frozenset()]  # subs[mask]: the atoms at mask's bits
+        for atom in sorted(blk):
+            subs += [s | {atom} for s in subs]
+        blocks.append([elem_of(bi, s) for s in subs])
     try:
-        A = make_pba(n, zero, one, neg, comm_pairs, meets, joins, labels)
-    except StructuralError as exc:
+        neg, comm, meet, join = block_tables(n, blocks)
+    except AmalgamError as exc:
         raise InvalidAlgebraError(f"pasting produced conflicting tables: {exc}") from exc
+    A = _trusted_algebra(n=n, zero=zero, one=one, neg=neg, comm=comm,
+                         meet=meet, join=join, labels=tuple(labels))
     report = validate(A)
     if not report.ok:
         raise InvalidAlgebraError("pasted algebra fails validation", report=report)
@@ -1384,29 +1423,19 @@ def image_factorization(f: PbaMorphism) -> ImageFactorization:
     A, B = f.dom, f.cod
     embed = tuple(sorted(set(f.map)))
     pos = {v: i for i, v in enumerate(embed)}
-    n = len(embed)
-    comm = [0] * n
-    for a in range(A.n):
-        for b in range(A.n):
-            if A.comm_pair(a, b):
-                comm[pos[f.map[a]]] |= _bit(pos[f.map[b]])
-    meet = [[UNDEF] * n for _ in range(n)]
-    join = [[UNDEF] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if (comm[i] >> j) & 1:
-                meet[i][j] = pos[B.meet[embed[i]][embed[j]]]
-                join[i][j] = pos[B.join[embed[i]][embed[j]]]
-    image = PartialBooleanAlgebra(
-        n=n, zero=pos[B.zero], one=pos[B.one],
-        neg=tuple(pos[B.neg[v]] for v in embed),
-        comm=tuple(comm),
-        meet=tuple(tuple(r) for r in meet), join=tuple(tuple(r) for r in join),
-        labels=tuple(B.labels[v] for v in embed))
+    image_of = tuple(pos[v] for v in f.map)
+    # every commeasurable pair of A lies in a maximal block, so the images
+    # of those blocks carry the pushforward and, f being a morphism, B's
+    # operations; repeated elements write equal cells
+    neg, comm, meet, join = block_tables(len(embed), [
+        [image_of[a] for a in element] for _, element in _target_blocks(A)])
+    image = _trusted_algebra(
+        n=len(embed), zero=pos[B.zero], one=pos[B.one], neg=neg, comm=comm,
+        meet=meet, join=join, labels=tuple(B.labels[v] for v in embed))
     report = validate(image)
     if not report.ok:
         raise InvalidAlgebraError("image carrier fails validation", report=report)
-    surj = PbaMorphism(A, image, tuple(pos[v] for v in f.map))
+    surj = PbaMorphism(A, image, image_of)
     incl = PbaMorphism(image, B, embed)
     return ImageFactorization(image=image, surjection=surj, inclusion=incl)
 

@@ -676,11 +676,11 @@ def rays_to_pba(rays: Sequence[Sequence[complex]], dim: int,
     Blocks are the contexts, the mutually orthogonal dim-sized subsets, in
     ascending order; two may share any number of rays.  At least one
     complete basis must occur.  The carrier is the closure of the ray
-    projections under complement and commuting meet/join: for ray sets whose
-    orthogonality lives entirely inside blocks this is exactly the pasted
-    block algebra, and for Kochen-Specker sets (where pairwise orthogonal
-    tuples need not share a block) it is the least valid carrier containing
-    them."""
+    projections under complement and commuting meet/join, the least valid
+    carrier containing them.  It holds the pasted block algebra, but may be
+    larger even when every orthogonal pair and triple lies in one block:
+    in the 600-cell's 60 rays with their 75 bases, rank-2 projections of
+    different bases commute and meet in rays outside the set."""
     vecs = []
     for i, r in enumerate(rays):
         v = np.asarray(r, dtype=complex).reshape(-1)

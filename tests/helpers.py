@@ -6,7 +6,7 @@ oracles for cocones and maximal cliques, block-family cocones spread out to
 per-member legs with the member-by-member cocone walk and mediation, a
 Bron-Kerbosch whose pivot scan reads every vertex, crown-shaped orders, the
 point family a two-valued state induces on the member poset, validation and
-the tensor tables walked cell by cell, the projection closure walked one
+the block tables walked cell by cell, the projection closure walked one
 pair at a time, and the exhaustive oracles for the extension clause,
 generated subalgebras and the subalgebra poset's reports."""
 
@@ -714,11 +714,11 @@ def walk_validate(A: PartialBooleanAlgebra) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
-def walk_tensor_tables(n: int, objects: Iterable[Sequence[int]]):
-    """neg, meet and join written from each object's element list, one row
+def walk_block_tables(n: int, objects: Iterable[Sequence[int]]):
+    """neg, meet and join written from each block's element list, one row
     and one cell at a time, as tensor_product wrote them before its
     scatter: each cell compared with its value so far, AmalgamError at the
-    first conflict."""
+    first conflict.  The reference for core.block_tables."""
     neg = [UNDEF] * n
     meet = [[UNDEF] * n for _ in range(n)]
     join = [[UNDEF] * n for _ in range(n)]

@@ -4,6 +4,7 @@ coproducts, equalizers, free products, tensor products."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import random
@@ -13,23 +14,28 @@ import pytest
 from helpers import (
     cocone_legs_by_product,
     member_legs,
+    walk_block_tables,
     walk_mediating_morphism,
-    walk_tensor_tables,
 )
-from pbalg._rowbands import tensor_tables
 from pbalg import colimit
 from pbalg.core import (
+    _SMALL_MAX,
+    UNDEF,
     PbaMorphism,
     _boolean_block,
     atoms_of_subalgebra,
+    block_hypergraph,
+    block_tables,
     boolean_algebra,
     check_morphism,
     compose,
     enumerate_morphisms,
     from_orthomodular,
     identity_morphism,
+    image_factorization,
     is_isomorphic,
     mo_lattice,
+    paste_blocks,
     sub_algebra,
     trivial_algebra,
     validate,
@@ -763,13 +769,25 @@ def test_tensor_cells_share_one_int_per_element():
 
 
 def test_tensor_carrier_passes_the_checked_constructor():
-    # tensor_product builds T without the constructor's range checks; the
-    # checked constructor accepts each such carrier and gives it back equal
+    # tensor_product, product, coproduct, paste_blocks and
+    # image_factorization build their carriers from block_tables without
+    # the constructor's range checks; the checked constructor accepts each
+    # such carrier, on both sides of the size switch, and gives it back equal
     pairs = list(itertools.product(small_corpus(), repeat=2))
-    pairs.append((boolean_algebra(2), boolean_algebra(5)))
+    carriers = [tensor_product(A, B).algebra for A, B in pairs]
+    carriers.append(tensor_product(boolean_algebra(2), boolean_algebra(5)).algebra)
     for A, B in pairs:
-        T = tensor_product(A, B).algebra
-        assert dataclasses.replace(T) == T
+        carriers += [product([A, B])[0], coproduct([A, B])[0]]
+        carriers += [image_factorization(f).image for f in enumerate_morphisms(A, B)[:3]]
+    carriers.append(product([boolean_algebra(4), boolean_algebra(4)])[0])
+    carriers += [chain_of_triangles(k) for k in (2, 3, 4)]
+    # 40 four-atom blocks in a chain, consecutive ones sharing an atom
+    carriers.append(paste_blocks(block_hypergraph(
+        [[f"a{3 * i + j}" for j in range(4)] for i in range(40)])))
+    assert carriers[-1].n == 484
+    assert {C.n > _SMALL_MAX for C in carriers} == {False, True}
+    for C in carriers:
+        assert dataclasses.replace(C) == C
 
 
 def _tables_or_error(build, n, objects):
@@ -779,37 +797,64 @@ def _tables_or_error(build, n, objects):
         return e
 
 
-def test_tensor_tables_match_cell_walk():
-    # seeded element lists of up to three grid objects on small carriers,
-    # three in four with negation kept consistent by one involution so that
-    # meet and join conflicts arise, within an object too: the scatter gives
-    # the walk's tables, or raises where the walk raises (with several
-    # conflicting entries the two may name different tables)
+def test_block_tables_match_cell_walk():
+    # seeded element lists of up to three blocks on small pools of
+    # elements, placed on carriers of 2-8 elements or padded past
+    # _SMALL_MAX so that both writers run.  Three in four lists keep
+    # negation consistent by one involution, so that meet and join
+    # conflicts arise, within a block too; one in four blocks is instead the
+    # image of a Boolean block under a Boolean homomorphism, with repeated
+    # elements, as image_factorization passes them.  The writer gives the
+    # walk's tables, with comm defined exactly where they are, or raises
+    # where the walk raises: below the switch naming the same table, above
+    # it possibly another of several conflicting ones
     rng = random.Random(23)
     seen = set()
-    for _ in range(600):
-        n = rng.randint(2, 8)
-        order = rng.sample(range(n), n)
-        neg = list(range(n))
+    for _ in range(1200):
+        pool = rng.randint(2, 8)
+        n = pool if rng.random() < 0.5 else pool + rng.randint(_SMALL_MAX - 1, 40)
+        place = rng.sample(range(n), pool)
+        order = rng.sample(range(pool), pool)
+        neg = list(range(pool))
         for x, y in zip(order[::2], order[1::2]):
             neg[x], neg[y] = y, x
         objects = []
         for _ in range(rng.randint(1, 3)):
-            size = 1 << rng.randint(0, 3)
-            local = [rng.randrange(n) for _ in range(size)]
+            k = rng.randint(0, 3)
+            if rng.random() < 0.25:
+                # atom i of the block goes to the target atoms it owns
+                r = rng.randint(0, k)
+                target = rng.sample(range(pool), 1 << r) if 1 << r <= pool else None
+                if target is not None:
+                    image = [0] * k
+                    for j in range(r):
+                        image[rng.randrange(k)] |= 1 << j
+                    local = [target[functools.reduce(
+                        int.__or__, (image[i] for i in range(k) if m >> i & 1), 0)]
+                        for m in range(1 << k)]
+                    objects.append([place[e] for e in local])
+                    continue
+            local = [rng.randrange(pool) for _ in range(1 << k)]
             if rng.random() < 0.75:
-                for m in range(size // 2):
-                    local[size - 1 - m] = neg[local[m]]
-            objects.append(local)
-        got = _tables_or_error(tensor_tables, n, objects)
-        want = _tables_or_error(walk_tensor_tables, n, objects)
+                for m in range((1 << k) // 2):
+                    local[(1 << k) - 1 - m] = neg[local[m]]
+            objects.append([place[e] for e in local])
+        got = _tables_or_error(block_tables, n, objects)
+        want = _tables_or_error(walk_block_tables, n, objects)
+        large = n > _SMALL_MAX
         if isinstance(want, AmalgamError):
             assert isinstance(got, AmalgamError), objects
+            if not large:
+                assert str(got).split()[0] == str(want).split()[0], objects
         else:
-            assert got == want, objects
-        seen.add(str(want).split()[0] if isinstance(want, AmalgamError) else "tables")
-    # the sample reaches every outcome of the walk
-    assert seen == {"tables", "negation", "meet", "join"}
+            neg_t, comm, meet, join = got
+            assert (neg_t, meet, join) == want, objects
+            assert comm == tuple(sum(1 << b for b, v in enumerate(row) if v != UNDEF)
+                                 for row in want[1]), objects
+        seen.add((large, str(want).split()[0] if isinstance(want, AmalgamError) else "tables"))
+    # the sample reaches every outcome of the walk on both sides of the switch
+    assert seen == {(large, outcome) for large in (False, True)
+                    for outcome in ("tables", "negation", "meet", "join")}
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from pbalg.core import boolean_algebra, is_isomorphic, maximal_cliques, validate
-from pbalg.corpus import mo2_algebra, small_corpus
+from pbalg.corpus import generated_corpus, mo2_algebra, small_corpus
 from pbalg.data import corpus_names, corpus_path
 from pbalg.errors import FormatError
 from pbalg.formats import (
@@ -362,6 +362,37 @@ def test_colimit_check_report_is_pinned(name):
         digests.append(hashlib.sha256(out.replace(path.encode(), name.encode())
                                       ).hexdigest()[:16])
     assert tuple(digests) == COLIMIT_CHECK_DIGESTS[name]
+
+
+# digests of the --out report with each input path replaced by its file
+# name, taken while product and coproduct wrote their tables pair by pair
+# through make_pba
+PRODUCT_REPORT_DIGESTS = {
+    ("product", "mo2.pba", "bool2.pba"): "7b912973bdb3f684",
+    ("product", "bool4.pba", "bool4.pba"): "0d70aefe5a606442",
+    ("coproduct", "mo3.pba", "bool2.pba"): "495734cbc1fb00d8",
+    ("coproduct", "bool3.pba", "mo2.pba", "bool2.pba"): "247811cd08fed4d3",
+}
+
+
+@pytest.mark.parametrize("args", sorted(PRODUCT_REPORT_DIGESTS), ids="-".join)
+def test_product_report_is_pinned(args, tmp_path):
+    verb, *names = args
+    paths = [corpus_path(name) for name in names]
+    target = tmp_path / "report.json"
+    code, _ = run_cli(verb, *paths, "--out", str(target))
+    assert code == 0
+    report = target.read_text(encoding="utf-8")
+    for path, name in zip(paths, names):
+        report = report.replace(path, name)
+    assert hashlib.sha256(report.encode()).hexdigest()[:16] == PRODUCT_REPORT_DIGESTS[args]
+
+
+def test_generated_corpus_is_pinned():
+    # taken while paste_blocks, product and coproduct wrote their tables
+    # pair by pair through make_pba
+    text = "".join(serialize_algebra(A) for A in generated_corpus(50, 24))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "d9853480055f82d5"
 
 
 # digests of the report with the input path replaced by the file name,
