@@ -429,9 +429,10 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-# Carriers and blocks of more than this many elements decide their clean
-# rows in numpy, in pbalg._rowbands, and word a failing block by the block
-# decoder; smaller ones keep the pure-Python tests and never import numpy.
+# Carriers and blocks of more than this many elements pick the rows to walk
+# in numpy, in pbalg._rowbands, and have their tables written by numpy
+# scatters; smaller ones keep the pure-Python tests and never import numpy.
+# The size only chooses how rows are tested: every report is the same.
 _SMALL_MAX = 32
 
 
@@ -443,89 +444,6 @@ def _gather(elems: list[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
     return itemgetter(*elems)
 
 
-def _boolean_axiom_violations(A: PartialBooleanAlgebra, elems: list[int],
-                              decoded: Violation | None = None) -> list[Violation]:
-    """Check that a clique, with the restricted operations, is a Boolean
-    algebra: closure, lattice axioms, distributivity, bounds, complements.
-    Past the closure pass a clique of more than _SMALL_MAX elements is
-    worded by the block decoder; ``decoded`` is its Violation on this
-    clique when the caller has already run it."""
-    out = []
-    lab = A.labels
-    inside = set(elems)
-    first = {}  # rule -> already reported
-
-    def report(rule, witness, message):
-        if rule not in first:
-            first[rule] = True
-            out.append(Violation(rule, witness, message))
-
-    for a in elems:
-        if A.neg[a] not in inside:
-            report("clique_closed_neg", (a,), f"clique not closed under neg at {lab[a]}")
-    # the pairs (a, b) with b at or after a in elems, one row at a time; a
-    # row whose cells all lie in the clique (UNDEF never does) is clean, and
-    # only the other rows are walked cell by cell for their witnesses
-    gather = _gather(elems)
-    for i, a in enumerate(elems):
-        row_m = gather(A.meet[a])[i:]
-        row_j = gather(A.join[a])[i:]
-        if inside.issuperset(row_m) and inside.issuperset(row_j):
-            continue
-        for b, m, j in zip(elems[i:], row_m, row_j):
-            if m == UNDEF or j == UNDEF:
-                report("op_undefined_on_comm", (a, b),
-                       f"meet/join undefined on commeasurable pair ({lab[a]}, {lab[b]})")
-                continue
-            if m not in inside or j not in inside:
-                report("clique_closed_ops", (a, b),
-                       f"clique not closed under meet/join at ({lab[a]}, {lab[b]})")
-    if out:
-        return out  # closure failed; deeper axioms would read bad cells
-
-    if len(elems) > _SMALL_MAX:
-        if decoded is None:
-            decoded = _decode_block(A, elems)
-        return [decoded] if isinstance(decoded, Violation) else []
-
-    meet = A.meet
-    join = A.join
-    # the closure pass reads each row from a on, and the block decoder
-    # reads UNDEF as off the block; the loops below index every cell, so an
-    # UNDEF before the diagonal stops them here
-    for i, a in enumerate(elems):
-        for b in elems[:i]:
-            if meet[a][b] == UNDEF or join[a][b] == UNDEF:
-                report("op_undefined_on_comm", (a, b),
-                       f"meet/join undefined on commeasurable pair ({lab[a]}, {lab[b]})")
-    if out:
-        return out
-    for a in elems:
-        if meet[a][A.one] != a or join[a][A.zero] != a:
-            report("bounds", (a,), f"0/1 are not bounds at {lab[a]}")
-        if meet[a][A.neg[a]] != A.zero or join[a][A.neg[a]] != A.one:
-            report("complement", (a,), f"neg({lab[a]}) is not a complement")
-    for a, b in itertools.combinations(elems, 2):
-        if join[a][meet[a][b]] != a or meet[a][join[a][b]] != a:
-            report("absorption", (a, b), f"absorption fails at ({lab[a]}, {lab[b]})")
-    for a, b, c in itertools.combinations_with_replacement(elems, 3):
-        # associativity and distributivity, all rotations
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            if meet[meet[x][y]][z] != meet[x][meet[y][z]]:
-                report("assoc_meet", (x, y, z),
-                       f"meet not associative at ({lab[x]}, {lab[y]}, {lab[z]})")
-            if join[join[x][y]][z] != join[x][join[y][z]]:
-                report("assoc_join", (x, y, z),
-                       f"join not associative at ({lab[x]}, {lab[y]}, {lab[z]})")
-            if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
-                report("distributive", (x, y, z),
-                       f"meet does not distribute over join at ({lab[x]}, {lab[y]}, {lab[z]})")
-            if join[x][meet[y][z]] != meet[join[x][y]][join[x][z]]:
-                report("distributive", (x, y, z),
-                       f"join does not distribute over meet at ({lab[x]}, {lab[y]}, {lab[z]})")
-    return out
-
-
 def _decode_block(A: PartialBooleanAlgebra, elems: list[int]
                   ) -> tuple[list[int], list[int], list[int]] | Violation:
     """Decode the block ``elems`` (ascending) as the Boolean algebra on its
@@ -535,7 +453,9 @@ def _decode_block(A: PartialBooleanAlgebra, elems: list[int]
     Unless the atom sets are distinct and neg, meet and join on the block
     are their complement, intersection and union, return instead the first
     Violation: the wrong atom count, two elements over one atom set, a
-    wrong negation, or the first wrong meet or join cell, row by row."""
+    wrong negation, or the first wrong meet or join cell, row by row.  A
+    cell off the block, UNDEF included, is a wrong cell.  This Violation is
+    what ``validate`` reports for a rejected block, at every size."""
     lab = A.labels
     meet, join = A.meet, A.join
     nonzero = [a for a in elems if a != A.zero]
@@ -675,14 +595,13 @@ def validate(A: PartialBooleanAlgebra) -> ValidationReport:
                                          f"{name} not commutative on ({lab[a]}, {lab[b]})"))
 
     # a block the decoder certifies is Boolean with zero at the empty atom set
-    # and, as neg(0) = 1 here, one at the full one: the block checks, which
-    # word a failing block's violations, would report nothing on it
+    # and, as neg(0) = 1 here, one at the full one; a block it rejects is
+    # reported by the decoder's first Violation
     if not any(v.rule.startswith(("comm_", "neg_", "op_defined")) for v in out):
         for clique in maximal_cliques(A):
-            elems = list(_bits(clique))
-            decoded = _decode_block(A, elems)
+            decoded = _decode_block(A, list(_bits(clique)))
             if isinstance(decoded, Violation):
-                out.extend(_boolean_axiom_violations(A, elems, decoded))
+                out.append(decoded)
 
     return ValidationReport(tuple(out))
 
@@ -727,6 +646,12 @@ def block_hypergraph(blocks: Iterable[Iterable[str]]) -> BlockHypergraph:
     return BlockHypergraph(atoms=atoms, blocks=blocks)
 
 
+# (block, proper nonempty atom set) pairs, summed over the blocks, past which
+# paste_blocks stops before enumerating them: a carrier past this size
+# would take minutes and gigabytes of tables (compare _TENSOR_MAX_SLOTS)
+_PASTE_MAX_SLOTS = 5_000
+
+
 def paste_blocks(h: BlockHypergraph) -> PartialBooleanAlgebra:
     """Glue the powerset algebras of the blocks into one partial Boolean
     algebra.
@@ -737,8 +662,14 @@ def paste_blocks(h: BlockHypergraph) -> PartialBooleanAlgebra:
     complementation.  Two classes are commeasurable iff they have
     representatives in a single block.  The output is certified with
     :func:`validate`; pathological pastings are rejected there rather than by
-    input-side conditions.
+    input-side conditions.  Past ``_PASTE_MAX_SLOTS`` pairs it raises
+    SearchCutoffError.
     """
+    slots = sum((1 << len(blk)) - 2 for blk in h.blocks)
+    if slots > _PASTE_MAX_SLOTS:
+        raise SearchCutoffError(
+            f"pasting too large: {slots} (block, atom set) pairs exceed "
+            f"{_PASTE_MAX_SLOTS}", limit=_PASTE_MAX_SLOTS)
     pairs: list[tuple[int, frozenset[str]]] = []
     index: dict[tuple[int, frozenset[str]], int] = {}
     for bi, blk in enumerate(h.blocks):

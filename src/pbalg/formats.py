@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 from typing import Sequence
 
 import numpy as np
@@ -285,6 +286,16 @@ def serialize_rays(dim: int, rays: Sequence[Sequence[complex]]) -> str:
 # matrix seed files (JSON)
 # ---------------------------------------------------------------------------
 
+def _finite_real(v) -> bool:
+    """v is a JSON number, not a Boolean, and finite as a float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer literal past the float range
+        return False
+
+
 def parse_matrix_seed_text(text: str) -> MatrixSeed:
     """JSON object: format/version markers, dim, optional tolerance, and
     matrices as nested [row][column] -> [re, im] arrays."""
@@ -297,21 +308,28 @@ def parse_matrix_seed_text(text: str) -> MatrixSeed:
     if data.get("version") != 1:
         raise FormatError("unsupported mseed version")
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
         raw = data["matrices"]
-        tol = float(data.get("tolerance", 1e-9))
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise FormatError(f"malformed mseed fields: {exc}") from exc
+    tol = data.get("tolerance", 1e-9)
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
+        raise FormatError(f"'dim' must be a non-negative integer, got {dim!r}")
+    if not _finite_real(tol) or tol < 0:
+        raise FormatError(f"'tolerance' must be a finite non-negative number, got {tol!r}")
+    if not isinstance(raw, list):
+        raise FormatError("'matrices' must be a list")
     mats = []
     for mi, rows in enumerate(raw):
-        try:
-            m = np.array([[complex(c[0], c[1]) for c in row] for row in rows])
-        except (TypeError, IndexError) as exc:
-            raise FormatError(f"matrix {mi} is not a [re, im] grid: {exc}") from exc
-        if m.shape != (dim, dim):
-            raise FormatError(f"matrix {mi} has shape {m.shape}, expected square of {dim}")
-        mats.append(m)
-    return MatrixSeed(dim=dim, generators=mats, tol=tol)
+        if not (isinstance(rows, list) and len(rows) == dim
+                and all(isinstance(row, list) and len(row) == dim for row in rows)):
+            raise FormatError(f"matrix {mi} is not a {dim} by {dim} grid")
+        if not all(isinstance(c, list) and len(c) == 2 and all(map(_finite_real, c))
+                   for row in rows for c in row):
+            raise FormatError(f"matrix {mi} has a cell that is not a finite [re, im] pair")
+        mats.append(np.array([[complex(*c) for c in row] for row in rows],
+                             dtype=complex).reshape(dim, dim))
+    return MatrixSeed(dim=dim, generators=mats, tol=float(tol))
 
 
 def serialize_matrix_seed(seed: MatrixSeed) -> str:

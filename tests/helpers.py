@@ -7,8 +7,9 @@ per-member legs with the member-by-member cocone walk and mediation, a
 Bron-Kerbosch whose pivot scan reads every vertex, crown-shaped orders, the
 point family a two-valued state induces on the member poset, validation and
 the block tables walked cell by cell, the projection closure walked one
-pair at a time, and the exhaustive oracles for the extension clause,
-generated subalgebras and the subalgebra poset's reports."""
+pair at a time, and the exhaustive oracles for a block's Boolean axioms,
+the extension clause, generated subalgebras and the subalgebra poset's
+reports."""
 
 from __future__ import annotations
 
@@ -27,9 +28,9 @@ from pbalg.core import (
     ValidationReport,
     Violation,
     _bits,
-    _boolean_axiom_violations,
     _candidate_classes,
     _columns,
+    _gather,
     _require_pairwise_comm,
     _signature,
     atoms_of_subalgebra,
@@ -600,8 +601,8 @@ def point_family(P: SubalgebraPoset, valuation: tuple[int, ...]
 
 def _walk_transport_violations(A: PartialBooleanAlgebra, elems: list[int]
                                ) -> list[Violation]:
-    """The transport check of a block of more than 32 elements, every meet
-    and join row walked cell by cell."""
+    """The transport check of a block, every meet and join row walked cell
+    by cell, and a cell off the block (UNDEF included) a wrong one."""
     lab = A.labels
     inside = set(elems)
     nonzero = [a for a in elems if a != A.zero]
@@ -637,38 +638,6 @@ def _walk_transport_violations(A: PartialBooleanAlgebra, elems: list[int]
                                   f"join({lab[a]}, {lab[b]}) is not the atom "
                                   "union")]
     return []
-
-
-def _walk_block_violations(A: PartialBooleanAlgebra, elems: list[int]) -> list[Violation]:
-    """A block's closure pass, cell by cell, then the pure-Python axiom
-    loops of core up to 32 elements and the walked transport check above."""
-    lab = A.labels
-    inside = set(elems)
-    out: list[Violation] = []
-    first: set[str] = set()
-
-    def report(rule, witness, message):
-        if rule not in first:
-            first.add(rule)
-            out.append(Violation(rule, witness, message))
-
-    for a in elems:
-        if A.neg[a] not in inside:
-            report("clique_closed_neg", (a,), f"clique not closed under neg at {lab[a]}")
-    for i, a in enumerate(elems):
-        for b in elems[i:]:
-            m, j = A.meet[a][b], A.join[a][b]
-            if m == UNDEF or j == UNDEF:
-                report("op_undefined_on_comm", (a, b),
-                       f"meet/join undefined on commeasurable pair ({lab[a]}, {lab[b]})")
-            elif m not in inside or j not in inside:
-                report("clique_closed_ops", (a, b),
-                       f"clique not closed under meet/join at ({lab[a]}, {lab[b]})")
-    if out:
-        return out
-    if len(elems) > 32:
-        return _walk_transport_violations(A, elems)
-    return core._boolean_axiom_violations(A, elems)
 
 
 def walk_validate(A: PartialBooleanAlgebra) -> ValidationReport:
@@ -710,7 +679,7 @@ def walk_validate(A: PartialBooleanAlgebra) -> ValidationReport:
                                          f"{name} not commutative on ({lab[a]}, {lab[b]})"))
     if not any(v.rule.startswith(("comm_", "neg_", "op_defined")) for v in out):
         for clique in maximal_cliques(A):
-            out.extend(_walk_block_violations(A, list(_bits(clique))))
+            out.extend(_walk_transport_violations(A, list(_bits(clique))))
     return ValidationReport(tuple(out))
 
 
@@ -806,6 +775,83 @@ def walk_projection_closure(
 # subalgebra poset's reports
 # ---------------------------------------------------------------------------
 
+def boolean_axiom_oracle(A: PartialBooleanAlgebra, elems: list[int]) -> list[Violation]:
+    """Check that a clique, with the restricted operations, is a Boolean
+    algebra: closure, then bounds, complements, absorption, associativity
+    and distributivity, each axiom looped over every pair or triple at
+    every size.  The first violation of each rule is reported.  The
+    independent oracle for the block decoder, which it never calls; cubic,
+    so for blocks of up to a few dozen elements."""
+    out = []
+    lab = A.labels
+    inside = set(elems)
+    first = {}  # rule -> already reported
+
+    def report(rule, witness, message):
+        if rule not in first:
+            first[rule] = True
+            out.append(Violation(rule, witness, message))
+
+    for a in elems:
+        if A.neg[a] not in inside:
+            report("clique_closed_neg", (a,), f"clique not closed under neg at {lab[a]}")
+    # the pairs (a, b) with b at or after a in elems, one row at a time; a
+    # row whose cells all lie in the clique (UNDEF never does) is clean, and
+    # only the other rows are walked cell by cell for their witnesses
+    gather = _gather(elems)
+    for i, a in enumerate(elems):
+        row_m = gather(A.meet[a])[i:]
+        row_j = gather(A.join[a])[i:]
+        if inside.issuperset(row_m) and inside.issuperset(row_j):
+            continue
+        for b, m, j in zip(elems[i:], row_m, row_j):
+            if m == UNDEF or j == UNDEF:
+                report("op_undefined_on_comm", (a, b),
+                       f"meet/join undefined on commeasurable pair ({lab[a]}, {lab[b]})")
+                continue
+            if m not in inside or j not in inside:
+                report("clique_closed_ops", (a, b),
+                       f"clique not closed under meet/join at ({lab[a]}, {lab[b]})")
+    if out:
+        return out  # closure failed; deeper axioms would read bad cells
+
+    meet = A.meet
+    join = A.join
+    # the closure pass reads each row from a on; the loops below index every
+    # cell, so an UNDEF before the diagonal stops them here
+    for i, a in enumerate(elems):
+        for b in elems[:i]:
+            if meet[a][b] == UNDEF or join[a][b] == UNDEF:
+                report("op_undefined_on_comm", (a, b),
+                       f"meet/join undefined on commeasurable pair ({lab[a]}, {lab[b]})")
+    if out:
+        return out
+    for a in elems:
+        if meet[a][A.one] != a or join[a][A.zero] != a:
+            report("bounds", (a,), f"0/1 are not bounds at {lab[a]}")
+        if meet[a][A.neg[a]] != A.zero or join[a][A.neg[a]] != A.one:
+            report("complement", (a,), f"neg({lab[a]}) is not a complement")
+    for a, b in itertools.combinations(elems, 2):
+        if join[a][meet[a][b]] != a or meet[a][join[a][b]] != a:
+            report("absorption", (a, b), f"absorption fails at ({lab[a]}, {lab[b]})")
+    for a, b, c in itertools.combinations_with_replacement(elems, 3):
+        # associativity and distributivity, all rotations
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            if meet[meet[x][y]][z] != meet[x][meet[y][z]]:
+                report("assoc_meet", (x, y, z),
+                       f"meet not associative at ({lab[x]}, {lab[y]}, {lab[z]})")
+            if join[join[x][y]][z] != join[x][join[y][z]]:
+                report("assoc_join", (x, y, z),
+                       f"join not associative at ({lab[x]}, {lab[y]}, {lab[z]})")
+            if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
+                report("distributive", (x, y, z),
+                       f"meet does not distribute over join at ({lab[x]}, {lab[y]}, {lab[z]})")
+            if join[x][meet[y][z]] != meet[join[x][y]][join[x][z]]:
+                report("distributive", (x, y, z),
+                       f"join does not distribute over meet at ({lab[x]}, {lab[y]}, {lab[z]})")
+    return out
+
+
 def extension_clause_oracle(A: PartialBooleanAlgebra) -> bool:
     """Slow oracle for the extension clause: every pairwise-commeasurable
     subset is contained in some pairwise-commeasurable, operation-closed,
@@ -815,7 +861,7 @@ def extension_clause_oracle(A: PartialBooleanAlgebra) -> bool:
     good: list[set[int]] = []
     for clique in cliques:
         elems = list(_bits(clique))
-        if not _boolean_axiom_violations(A, elems):
+        if not boolean_axiom_oracle(A, elems):
             good.append(set(elems))
     for r in range(1, A.n + 1):
         for subset in itertools.combinations(range(A.n), r):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    _walk_block_violations,
+    boolean_axiom_oracle,
     bron_kerbosch_full_scan,
     brute_force_isomorphic,
     check_morphism_pairwise,
@@ -58,7 +58,6 @@ from pbalg.core import (
 )
 from pbalg.core import (
     _bit_positions,
-    _boolean_axiom_violations,
     _boolean_block,
     _decode_block,
     _certify_isomorphism,
@@ -169,16 +168,16 @@ def test_range_check_names_first_bad_cell(cells, message):
 
 
 # (carrier, cells, comm bits dropped) and the report the cell-by-cell
-# checks gave; bool6's one 64-element block takes the transport check.  An
-# UNDEF below the diagonal on a commeasurable pair is reported as
+# checks gave.  Every rejected block is reported by the transport check's
+# first violation, so bool3's 8-element block and bool6's 64-element one,
+# on either side of _SMALL_MAX, word the same corruption alike.  An UNDEF
+# below the diagonal on a commeasurable pair is reported as
 # op_defined_iff_comm at its own cell, and no block check runs after it.
 VALIDATE_CASES = {
     "mo3-meet-asymmetric": (
         "mo3", [("meet", 2, 3, 2)], (),
         [("meet_commutative", (2, 3), "meet not commutative on (x0, x0')"),
-         ("complement", (2,), "neg(x0) is not a complement"),
-         ("assoc_meet", (2, 3, 2), "meet not associative at (x0, x0', x0)"),
-         ("distributive", (3, 2, 3), "join does not distribute over meet at (x0', x0, x0')")]),
+         ("clique_not_boolean", (1, 3), "elements 1 and x0' sit over the same atom set")]),
     "mo3-meet-undefined-on-comm": (
         "mo3", [("meet", 3, 2, UNDEF)], (),
         [("op_defined_iff_comm", (3, 2), "meet undefined on commeasurable pair (x0', x0)"),
@@ -189,8 +188,13 @@ VALIDATE_CASES = {
          ("join_commutative", (2, 4), "join not commutative on (x0, x1)")]),
     "mo3-join-wrong": (
         "mo3", [("join", 2, 3, 2), ("join", 3, 2, 2)], (),
-        [("complement", (2,), "neg(x0) is not a complement"),
-         ("distributive", (3, 0, 2), "join does not distribute over meet at (x0', 0, x0)")]),
+        [("clique_not_boolean", (2, 3), "join(x0, x0') is not the atom union")]),
+    "bool3-join-wrong": (
+        "bool3", [("join", 1, 2, 7), ("join", 2, 1, 7)], (),
+        [("clique_not_boolean", (1, 2), "join(001, 010) is not the atom union")]),
+    "bool3-meet-merges-atom-sets": (
+        "bool3", [("meet", 1, 6, 1), ("meet", 6, 1, 1)], (),
+        [("clique_not_boolean", (6, 7), "elements 110 and 111 sit over the same atom set")]),
     "bool6-meet-asymmetric": (
         "bool6", [("meet", 5, 9, 0)], (),
         [("meet_commutative", (5, 9), "meet not commutative on (000101, 001001)"),
@@ -215,7 +219,7 @@ VALIDATE_CASES = {
 @pytest.mark.parametrize("case", sorted(VALIDATE_CASES))
 def test_validate_row_passes_keep_reports(case):
     carrier, cells, drop, expected = VALIDATE_CASES[case]
-    A = mo3_algebra() if carrier == "mo3" else boolean_algebra(6)
+    A = mo3_algebra() if carrier == "mo3" else boolean_algebra(int(carrier[4:]))
     report = validate(_corrupt(A, cells, drop))
     assert [(v.rule, v.witness, v.message) for v in report.violations] == expected
 
@@ -233,8 +237,8 @@ def test_transport_check_reports_undefined_cell_below_diagonal():
 
 
 def test_validate_decodes_a_failing_large_block_once(monkeypatch):
-    # the decoder's certificate on a failing block of more than 32 elements
-    # is the Violation the block check reports, so no block is decoded twice
+    # the decoder's certificate on a failing block is the Violation validate
+    # reports, at every size, so no block is decoded twice
     A = _corrupt(boolean_algebra(8), [("meet", 5, 9, 3), ("meet", 9, 5, 3)])
     decode = core._decode_block
     calls = []
@@ -251,11 +255,11 @@ def test_validate_decodes_a_failing_large_block_once(monkeypatch):
 
 @pytest.mark.parametrize("name", ["meet", "join"])
 def test_clique_pass_stops_undefined_cell_below_diagonal(name):
-    # the closure pass reads each row from the diagonal on; the axiom loops
-    # of a block of at most 32 elements index every cell, so an UNDEF below
-    # the diagonal is reported before them and they do not run
+    # the oracle's closure pass reads each row from the diagonal on; its
+    # axiom loops index every cell, so an UNDEF below the diagonal is
+    # reported before them and they do not run
     A = _corrupt(mo3_algebra(), [(name, 3, 2, UNDEF)])
-    assert [(v.rule, v.witness) for v in _boolean_axiom_violations(A, [0, 1, 2, 3])] == [
+    assert [(v.rule, v.witness) for v in boolean_axiom_oracle(A, [0, 1, 2, 3])] == [
         ("op_undefined_on_comm", (3, 2))]
     assert not extension_clause_oracle(A)
 
@@ -303,8 +307,8 @@ def test_validate_matches_cell_walk_on_one_cell_corruptions():
 def test_block_decoder_matches_cell_walk_on_one_cell_corruptions():
     # on the carriers and those of their corruptions whose pair walk is
     # clean, the raising decoder rejects a maximal clique exactly when the
-    # cell walk of validate's block checks (the axiom loops up to 32
-    # elements, the transport check above) reports a violation on it
+    # closure pass and the cubic axiom loops of the independent oracle
+    # report a violation on it, on both sides of _SMALL_MAX
     carriers = [*small_corpus()[2:], boolean_algebra(6),
                 tensor_product(boolean_algebra(2), boolean_algebra(3)).algebra,
                 cabello18_algebra()]
@@ -319,13 +323,13 @@ def test_block_decoder_matches_cell_walk_on_one_cell_corruptions():
                     continue
                 for clique in maximal_cliques(X):
                     elems = list(_bit_positions(clique))
-                    walked = bool(_walk_block_violations(X, elems))
+                    failed = bool(boolean_axiom_oracle(X, elems))
                     try:
                         _boolean_block(X, elems)
                         rejected = False
                     except InvalidAlgebraError:
                         rejected = True
-                    assert rejected == walked, (A.n, elems)
+                    assert rejected == failed, (A.n, elems)
                     outcomes[len(elems) > core._SMALL_MAX, rejected] += 1
     finally:
         core.maximal_cliques.cache_clear()
@@ -467,6 +471,17 @@ def test_paste_triangle_loop_is_rejected():
     with pytest.raises(InvalidAlgebraError) as err:
         paste_blocks(h)
     assert err.value.report is not None
+
+
+def test_paste_stops_past_slot_cutoff():
+    # 4094 + 1022 proper nonempty atom sets over a 12- and a 10-atom block,
+    # each under the cutoff alone, are refused together before any is
+    # enumerated
+    h = block_hypergraph([[f"a{i}" for i in range(12)],
+                          ["a0", *(f"b{i}" for i in range(9))]])
+    with pytest.raises(SearchCutoffError, match="5116") as err:
+        paste_blocks(h)
+    assert err.value.limit == core._PASTE_MAX_SLOTS == 5000
 
 
 def test_hypergraph_invariants():

@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import re
 import subprocess
 import sys
 
@@ -187,6 +188,51 @@ def test_mseed_roundtrip():
     assert np.allclose(again.generators[0], seed.generators[0])
 
 
+def _mseed(**fields) -> str:
+    return json.dumps({"format": "mseed", "version": 1, "dim": 1,
+                       "matrices": [[[[1.0, 0.0]]]], **fields})
+
+
+# a field of the wrong type, sign or finiteness is a syntax error (exit 2),
+# never a Python error from numpy or a silent truncation
+BAD_MSEEDS = {
+    "negative-dim": (_mseed(dim=-1, matrices=[]), "'dim' must be a non-negative integer"),
+    "fractional-dim": (_mseed(dim=1.7), "'dim' must be a non-negative integer"),
+    "boolean-dim": (_mseed(dim=True), "'dim' must be a non-negative integer"),
+    "string-dim": (_mseed(dim="1"), "'dim' must be a non-negative integer"),
+    "matrices-not-a-list": (_mseed(matrices=5), "'matrices' must be a list"),
+    "ragged-matrix": (_mseed(dim=2, matrices=[[[[1, 0]], [[0, 0], [1, 0]]]]),
+                      "matrix 0 is not a 2 by 2 grid"),
+    "three-number-cell": (_mseed(matrices=[[[[1, 0, 5]]]]),
+                          "matrix 0 has a cell that is not a finite"),
+    "string-cell": (_mseed(matrices=[[[["1", 0]]]]), "matrix 0 has a cell that is not a finite"),
+    "nan-cell": (_mseed(matrices=[[[[float("nan"), 0]]]]),
+                 "matrix 0 has a cell that is not a finite"),
+    "negative-tolerance": (_mseed(tolerance=-1e-9), "'tolerance' must be a finite non-negative"),
+    "nan-tolerance": (_mseed(tolerance=float("nan")), "'tolerance' must be a finite non-negative"),
+    "infinite-tolerance": (_mseed(tolerance=float("inf")),
+                           "'tolerance' must be a finite non-negative"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MSEEDS))
+def test_malformed_mseed_exits_two(tmp_path, case):
+    text, message = BAD_MSEEDS[case]
+    with pytest.raises(FormatError, match=re.escape(message)):
+        parse_matrix_seed_text(text)
+    path = tmp_path / "bad.mseed"
+    path.write_text(text)
+    code, out = run_cli("proj", str(path))
+    assert code == 2
+    assert json.loads(out)["error"].startswith("syntax: " + message)
+
+
+def test_mseed_dim_zero_is_valid():
+    seed = parse_matrix_seed_text(_mseed(dim=0, matrices=[[]]))
+    assert seed.dim == 0 and seed.generators[0].shape == (0, 0)
+    assert parse_matrix_seed_text(_mseed(dim=0, matrices=[], tolerance=0)).tol == 0.0
+
+
 def test_bundled_corpus_complete():
     names = corpus_names()
     for expected in ["mo2.pba", "mo3.pba", "bool2.pba", "bool3.pba",
@@ -254,6 +300,16 @@ def test_cutoff_exit_three():
                           corpus_path("bool3.pba"), "--max-carrier", "10")
     assert code2 == 3
     assert "cutoff" in json.loads(out2)["error"]
+
+
+def test_wide_block_is_cut_off(tmp_path):
+    # a 16-atom block would paste to 65,536 elements and gigabytes of tables
+    path = tmp_path / "wide.blocks"
+    path.write_text("blocks 1\n" + " ".join(f"a{i}" for i in range(16)) + "\n")
+    code, out = run_cli("validate", str(path))
+    assert code == 3
+    assert json.loads(out)["error"] == (
+        "cutoff: pasting too large: 65534 (block, atom set) pairs exceed 5000")
 
 
 def test_ks_search_mo2():
