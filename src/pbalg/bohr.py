@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DomainError, PbalgError, SearchCutoffError, StructuralError
-from .core import PartialBooleanAlgebra, PbaMorphism, _bits, atoms_of_subalgebra
+from .core import (PartialBooleanAlgebra, PbaMorphism, _bit_positions, _bits,
+                   atoms_of_subalgebra)
 from .poset import SubalgebraPoset, boolean_subalgebras
 
 # A frame element is one int: a bit per (member, spectrum point), each
@@ -43,9 +44,9 @@ class BohrFrame:
         # restriction maps for strict inclusions: point of the larger member
         # to the unique atom of the smaller member above it
         self.restrictions: dict[tuple[int, int], dict[int, int]] = {}
-        for i, small in enumerate(members):
-            for j, large in enumerate(members):
-                if i == j or not self.poset.contains(i, j):
+        for i, row in enumerate(self.poset.leq):
+            for j in _bit_positions(row):
+                if i == j:
                     continue
                 rho = {}
                 for q in self.spectra[j]:
@@ -210,7 +211,6 @@ class FrameMorphismReport:
     preserves_joins: bool
     preserves_binary_meets: bool
     meet_witness: tuple[FrameElement, FrameElement, int] | None
-    join_witness: tuple[FrameElement, FrameElement, int] | None
 
 
 class FrameMap:
@@ -249,33 +249,35 @@ class FrameMap:
             raise StructuralError("morphism action produced an inadmissible family")
         return fam
 
-    def report(self, elements: Sequence[FrameElement] | None = None,
-               max_frame: int = 65536) -> FrameMorphismReport:
-        """Exhaustive preservation report over the enumerated source frame.
-        Witnesses are re-checkable (families plus the failing member)."""
-        elems = list(elements) if elements is not None else \
-            list(self.src.elements(max_frame=max_frame))
-        top_ok = self(self.src.top()) == self.dst.top()
-        images = {F: self(F) for F in elems}
-        witnesses = []
-        for src_op, dst_op in ((self.src.join, self.dst.join),
-                               (self.src.meet, self.dst.meet)):
-            witness = None
-            for F, G in itertools.combinations_with_replacement(elems, 2):
-                H = src_op(F, G)
-                img = images[H] if H in images else self(H)
-                expected = dst_op(images[F], images[G])
-                if img != expected:
-                    witness = (F, G, next(
-                        j for j in range(len(self.dst.spectra))
-                        if self.dst.opens(img, j) != self.dst.opens(expected, j)))
-                    break
-            witnesses.append(witness)
-        join_witness, meet_witness = witnesses
+    def report(self) -> FrameMorphismReport:
+        """Preservation report read off the source frame's generators, the
+        ``up`` rows.  Joins need no check: ``self(F)`` is the OR of
+        ``push[b]`` over the bits of ``F``.  Every admissible ``F`` is the
+        union of the rows of its bits and ``self`` preserves unions, so
+        ``self`` preserves every binary meet exactly when it preserves
+        ``up[b] & up[c]`` for every pair ``b < c``.  That argument needs
+        each row ``up[b]`` to hold ``b`` and to be admissible, which is
+        checked first.  The meet witness is re-checkable: two rows plus the
+        first target member their images differ at."""
+        src, dst = self.src, self.dst
+        if not all(row >> b & 1 and src.admissible(row)
+                   for b, row in enumerate(src.up)):
+            raise StructuralError("an up-set row is not a frame generator: "
+                                  "restrictions do not compose")
+        top_ok = self(src.top()) == dst.top()
+        images = [self(row) for row in src.up]
+        witness = None
+        for b, c in itertools.combinations(range(len(src.up)), 2):
+            F, G = src.up[b], src.up[c]
+            img, expected = self(F & G), images[b] & images[c]
+            if img != expected:
+                witness = (F, G, next(
+                    j for j in range(len(dst.spectra))
+                    if dst.opens(img, j) != dst.opens(expected, j)))
+                break
         return FrameMorphismReport(
-            preserves_top=top_ok, preserves_joins=join_witness is None,
-            preserves_binary_meets=meet_witness is None,
-            meet_witness=meet_witness, join_witness=join_witness)
+            preserves_top=top_ok, preserves_joins=True,
+            preserves_binary_meets=witness is None, meet_witness=witness)
 
 
 def reflects_commeasurability(f: PbaMorphism) -> bool:

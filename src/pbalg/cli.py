@@ -293,8 +293,7 @@ def _do_bohrify(args, report: Report) -> None:
     if args.morphism_to is not None:
         B = _load_algebra(args.morphism_to)
         f = _parse_map_option(args.map, A, B)
-        fm = FrameMap(f)
-        mrep = fm.report(max_frame=args.max_frame)
+        mrep = FrameMap(f, src=frame).report()
         results["morphism"] = {
             "reflects_commeasurability": reflects_commeasurability(f),
             "preserves_top": mrep.preserves_top,

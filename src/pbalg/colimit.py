@@ -692,8 +692,7 @@ class FactorizationResult:
 
 
 def tensor_factorization(f: PbaMorphism, g: PbaMorphism,
-                         T: TensorResult | None = None,
-                         verify: bool = True) -> FactorizationResult:
+                         T: TensorResult | None = None) -> FactorizationResult:
     """Factor the cotuple of f and g through the tensor product of their
     domains: possible exactly when every f-image is commeasurable with every
     g-image; otherwise the first witnessing pair is returned."""
@@ -719,10 +718,9 @@ def tensor_factorization(f: PbaMorphism, g: PbaMorphism,
             acc = nxt
         values.append(acc)
     h = PbaMorphism(T.algebra, Z, tuple(values))
-    if verify:
-        chk = check_morphism(h)
-        if not chk.ok:
-            raise AmalgamError(f"factorizing map is not a morphism: {chk.message}")
-        if compose(h, T.kappa_a).map != f.map or compose(h, T.kappa_b).map != g.map:
-            raise AmalgamError("factorizing map does not restrict to the inputs")
+    chk = check_morphism(h)
+    if not chk.ok:
+        raise AmalgamError(f"factorizing map is not a morphism: {chk.message}")
+    if compose(h, T.kappa_a).map != f.map or compose(h, T.kappa_b).map != g.map:
+        raise AmalgamError("factorizing map does not restrict to the inputs")
     return FactorizationResult(morphism=h, witness=None)

@@ -681,6 +681,7 @@ def paste_blocks(h: BlockHypergraph) -> PartialBooleanAlgebra:
                 pairs.append(key)
 
     parent = list(range(len(pairs)))
+    comp = [index[(bi, frozenset(h.blocks[bi]) - sub)] for bi, sub in pairs]
 
     def find(i):
         while parent[i] != i:
@@ -688,37 +689,20 @@ def paste_blocks(h: BlockHypergraph) -> PartialBooleanAlgebra:
             i = parent[i]
         return i
 
-    def union(i, j):
+    # Identify equal atom sets, then close under complementation: every
+    # union of i and j queues the union of their complements.
+    first: dict[frozenset[str], int] = {}
+    work = [(first.setdefault(sub, i), i) for i, (_, sub) in enumerate(pairs)]
+    while work:
+        i, j = work.pop()
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
-            return True
-        return False
+            work.append((comp[i], comp[j]))
 
-    # Identify equal atom sets, then close under complementation until stable.
-    by_atoms: dict[frozenset[str], list[int]] = {}
-    for i, (_, sub) in enumerate(pairs):
-        by_atoms.setdefault(sub, []).append(i)
-    for idxs in by_atoms.values():
-        for j in idxs[1:]:
-            union(idxs[0], j)
-    changed = True
-    while changed:
-        changed = False
-        groups: dict[int, list[int]] = {}
-        for i in range(len(pairs)):
-            groups.setdefault(find(i), []).append(i)
-        for members in groups.values():
-            comps = []
-            for i in members:
-                bi, sub = pairs[i]
-                comps.append(index[(bi, frozenset(h.blocks[bi]) - sub)])
-            for j in comps[1:]:
-                if union(comps[0], j):
-                    changed = True
-
-    # the last pass united nothing, so its groups are the classes, each
-    # with its pair indices ascending
+    groups: dict[int, list[int]] = {}
+    for i in range(len(pairs)):
+        groups.setdefault(find(i), []).append(i)
     roots = sorted(groups)
 
     def class_label(root: int) -> str:
@@ -1404,8 +1388,10 @@ def _isomorphism_search(candidates: Sequence[int],
                         ) -> list[int] | None:
     """A bijection f of 0..n-1 with f[a] in candidates[a] for every a and
     ``rows_a[a]`` bit x == ``rows_b[f[a]]`` bit f[x] for every relation
-    ``(rows_a, rows_b)`` and every a assigned before x (pass a relation's
-    columns as a second relation to cover the other order), or None.
+    ``(rows_a, rows_b)`` and every a and x, or None.  The search adds each
+    relation's columns as a further relation unless both sides are
+    symmetric, so every pair is checked in both orders whichever of its
+    elements is assigned first.
 
     ``closure(a, b, f, done)``, if given, runs when a is assigned b, with
     ``done`` the mask of elements assigned before a; it returns pairs
@@ -1430,6 +1416,13 @@ def _isomorphism_search(candidates: Sequence[int],
     """
     n = len(candidates)
     full = (1 << n) - 1
+    both_orders = []
+    for rows_a, rows_b in relations:
+        both_orders.append((rows_a, rows_b))
+        cols_a, cols_b = _columns(rows_a), _columns(rows_b)
+        if cols_a != list(rows_a) or cols_b != list(rows_b):
+            both_orders.append((cols_a, cols_b))
+    relations = both_orders
 
     def propagate(queue: list[int], masks: list[int], f: list[int], free: int,
                   used: int) -> tuple[int, int]:
@@ -1594,10 +1587,7 @@ def find_isomorphism(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra) -> tupl
                                     [_signature(B, b) for b in range(B.n)])
     if candidates is None:
         return None
-    cols_a, cols_b = _columns(A.comm), _columns(B.comm)
-    relations = [(cols_a, cols_b)]
-    if cols_a != list(A.comm) or cols_b != list(B.comm):
-        relations.append((A.comm, B.comm))
+    cols_a = _columns(A.comm)
     meet_a, join_a, meet_b, join_b = A.meet, A.join, B.meet, B.join
 
     def closure(a: int, b: int, f: list[int], done: int) -> list[tuple[int, int]]:
@@ -1627,7 +1617,7 @@ def find_isomorphism(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra) -> tupl
                 forced.append((m, y))
         return list(dict.fromkeys(forced))
 
-    f = _isomorphism_search(candidates, relations, closure)
+    f = _isomorphism_search(candidates, [(A.comm, B.comm)], closure)
     if f is None:
         return None
     _certify_isomorphism(_trusted_morphism(A, B, tuple(f)))

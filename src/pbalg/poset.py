@@ -195,8 +195,8 @@ def partition_lattice(k: int) -> tuple[list[frozenset[frozenset[int]]], list[int
 
 def _poset_isomorphic(leq_a: list[int], leq_b: list[int]) -> bool:
     """Order isomorphism between two finite posets given as bitmask rows,
-    by the library's isomorphism search with the order read as rows and
-    as columns and each element's (down, up) counts as its class."""
+    by the library's isomorphism search with each element's (down, up)
+    counts as its class."""
     if len(leq_a) != len(leq_b):
         return False
     cols_a, cols_b = _columns(leq_a), _columns(leq_b)
@@ -205,7 +205,7 @@ def _poset_isomorphic(leq_a: list[int], leq_b: list[int]) -> bool:
         [(c.bit_count(), r.bit_count()) for r, c in zip(leq_b, cols_b)])
     if candidates is None:
         return False
-    return _isomorphism_search(candidates, [(leq_a, leq_b), (cols_a, cols_b)]) is not None
+    return _isomorphism_search(candidates, [(leq_a, leq_b)]) is not None
 
 
 def downset_matches_partition_lattice(P: SubalgebraPoset, member: frozenset[int]) -> bool:

@@ -5,7 +5,8 @@ isomorphism search as it was before its used-image mask, product-and-filter
 oracles for cocones and maximal cliques, block-family cocones spread out to
 per-member legs with the member-by-member cocone walk and mediation, a
 Bron-Kerbosch whose pivot scan reads every vertex, crown-shaped orders, the
-point family a two-valued state induces on the member poset, validation and
+point family a two-valued state induces on the member poset, the frame-map
+report over every pair of frame elements, validation and
 the block tables walked cell by cell, the projection closure walked one
 pair at a time, and the exhaustive oracles for a block's Boolean axioms,
 the extension clause, generated subalgebras and the subalgebra poset's
@@ -20,6 +21,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from pbalg import core
+from pbalg.bohr import FrameMap
 from pbalg.core import (
     UNDEF,
     MorphismCheck,
@@ -593,6 +595,37 @@ def point_family(P: SubalgebraPoset, valuation: tuple[int, ...]
         assert len(true_atoms) == 1, f"{len(true_atoms)} true atoms at {sorted(member)}"
         family[member] = true_atoms[0]
     return family
+
+
+# ---------------------------------------------------------------------------
+# the frame-map preservation report over every pair of frame elements
+# ---------------------------------------------------------------------------
+
+def frame_map_report_by_elements(fm: FrameMap, elements: Sequence[int]
+                                 ) -> tuple[bool, tuple | None, tuple | None]:
+    """``FrameMap.report`` as it was before it read the generators: top,
+    then ``fm`` compared on ``|`` and on ``&`` of every pair of the listed
+    source elements.  Returns (top preserved, join witness, meet witness),
+    each witness two elements plus the first target member they differ at."""
+    elems = list(elements)
+    top_ok = fm(fm.src.top()) == fm.dst.top()
+    images = {F: fm(F) for F in elems}
+    witnesses = []
+    for src_op, dst_op in ((fm.src.join, fm.dst.join),
+                           (fm.src.meet, fm.dst.meet)):
+        witness = None
+        for F, G in itertools.combinations_with_replacement(elems, 2):
+            H = src_op(F, G)
+            img = images[H] if H in images else fm(H)
+            expected = dst_op(images[F], images[G])
+            if img != expected:
+                witness = (F, G, next(
+                    j for j in range(len(fm.dst.spectra))
+                    if fm.dst.opens(img, j) != fm.dst.opens(expected, j)))
+                break
+        witnesses.append(witness)
+    join_witness, meet_witness = witnesses
+    return top_ok, join_witness, meet_witness
 
 
 # ---------------------------------------------------------------------------

@@ -215,7 +215,7 @@ def test_criterion_07_bohrification():
     for (a, A), (b, B) in itertools.product(enumerate(algs), repeat=2):
         for f in enumerate_morphisms(A, B):
             total += 1
-            rep = FrameMap(f, src=frames[a], dst=frames[b]).report(elements[a])
+            rep = FrameMap(f, src=frames[a], dst=frames[b]).report()
             assert rep.preserves_top, "top not preserved"
             assert rep.preserves_joins, "joins not preserved"
             if reflects_commeasurability(f):
@@ -228,7 +228,7 @@ def test_criterion_07_bohrification():
                 nonreflecting_meet_broken += 1
     m = paper_counterexample_morphism()
     src, dst = BohrFrame(m.dom), BohrFrame(m.cod)
-    rep = FrameMap(m, src=src, dst=dst).report(src.elements())
+    rep = FrameMap(m, src=src, dst=dst).report()
     assert not rep.preserves_binary_meets and rep.meet_witness is not None
     F, G, j = rep.meet_witness
     # re-check on freshly built frames: the bit layout is deterministic

@@ -19,7 +19,7 @@ from pbalg.bohr import (
     member_image,
     reflects_commeasurability,
 )
-from pbalg.errors import DomainError, PbalgError
+from pbalg.errors import DomainError, PbalgError, StructuralError
 from pbalg.corpus import (
     cabello18_algebra,
     mo2_algebra,
@@ -27,6 +27,8 @@ from pbalg.corpus import (
     paper_counterexample_morphism,
     small_corpus,
 )
+
+from helpers import frame_map_report_by_elements
 
 
 @pytest.fixture(scope="module")
@@ -260,6 +262,43 @@ def test_paper_map_breaks_binary_meets(mo2, mo2_frame):
     # the witness is re-checkable
     assert fm.dst.opens(fm(fm.src.meet(F, G)), j) != \
         fm.dst.opens(fm.dst.meet(fm(F), fm(G)), j)
+
+
+def test_report_matches_element_pairs():
+    # the generator report against the loop over every pair of enumerated
+    # elements, on every small-corpus morphism and the paper's map
+    algs = small_corpus()
+    frames = [BohrFrame(A) for A in algs]
+    maps = [FrameMap(f, src=frames[a], dst=frames[b])
+            for (a, A), (b, B) in itertools.product(enumerate(algs), repeat=2)
+            for f in enumerate_morphisms(A, B)]
+    maps.append(FrameMap(paper_counterexample_morphism()))
+    broken = 0
+    for fm in maps:
+        rep = fm.report()
+        top_ok, join_witness, meet_witness = frame_map_report_by_elements(
+            fm, fm.src.elements())
+        assert rep.preserves_top == top_ok
+        assert rep.preserves_joins and join_witness is None
+        assert rep.preserves_binary_meets == (meet_witness is None)
+        if rep.meet_witness is not None:
+            broken += 1
+            F, G, j = rep.meet_witness
+            assert F in fm.src.up and G in fm.src.up
+            assert fm.dst.opens(fm(fm.src.meet(F, G)), j) != \
+                fm.dst.opens(fm.dst.meet(fm(F), fm(G)), j)
+    assert len(maps) == 1605 and broken > 0
+
+
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(up_without_own_bit, id="up-without-own-bit"),
+    pytest.param(up_with_intransitive_bit, id="up-with-intransitive-bit")])
+def test_report_rejects_rows_that_are_not_generators(mo2, corrupt):
+    fr = BohrFrame(mo2)
+    fm = FrameMap(identity_morphism(mo2), src=fr, dst=BohrFrame(mo2))
+    corrupt(fr)
+    with pytest.raises(StructuralError, match="not a frame generator"):
+        fm.report()
 
 
 def test_reflecting_morphisms_preserve_meets():

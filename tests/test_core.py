@@ -1048,6 +1048,22 @@ def test_isomorphism_search_matches_eager_reference(monkeypatch):
     assert 0 < found < len(instances)
 
 
+@pytest.mark.parametrize("candidates, rows", [
+    # the eager reference, given these rows without their columns, returns
+    # [3, 0, 4, 1, 2, 5], which breaks the relation on pairs it checked only
+    # in the order they were assigned
+    pytest.param([10, 33, 24, 10, 28, 52],
+                 ([2, 43, 39, 31, 20, 4], [43, 31, 20, 1, 59, 16]), id="six"),
+    # a search that checks each pair only in the order it is assigned
+    # returns the non-isomorphism [1, 2, 0] here
+    pytest.param([2, 5, 7], ([3, 0, 7], [7, 6, 2]), id="three")])
+def test_isomorphism_search_checks_an_asymmetric_relation_in_both_orders(
+        candidates, rows):
+    assert _isomorphism_search(candidates, [rows]) is None
+    assert eager_isomorphism_search(
+        candidates, [rows, tuple(map(_columns, rows))]) is None
+
+
 def test_find_isomorphism_matches_eager_reference(monkeypatch):
     # the closure returns only the pairs that force something new, and an
     # UNDEF or a conflict is still a contradiction, also on carriers that

@@ -615,6 +615,15 @@ BOHRIFY_GOLDEN = [
      {"members": 202, "frame_size": None,
       "frame_laws": "skipped (enumeration over cutoff)",
       "generator_count": 559, "generators": "omitted"}),
+    # bool4's frame has 2**37 masks, past --max-frame, yet the frame-map
+    # report reads only the generators and decides
+    (["bool4.pba", "--morphism-to", "bool4.pba",
+      "--map", ",".join(f"{x}:{x}" for x in boolean_algebra(4).labels)],
+     {"members": 15, "frame_size": None,
+      "frame_laws": "skipped (enumeration over cutoff)",
+      "generator_count": 37, "generators": "omitted", "morphism": {
+          "reflects_commeasurability": True, "preserves_top": True,
+          "preserves_joins": True, "preserves_binary_meets": True}}),
 ]
 
 
