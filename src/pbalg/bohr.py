@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from .errors import DomainError, PbalgError, SearchCutoffError, StructuralError
 from .core import (PartialBooleanAlgebra, PbaMorphism, _bit_positions, _bits,
-                   atoms_of_subalgebra)
+                   _comm_pullback, atoms_of_subalgebra)
 from .poset import SubalgebraPoset, boolean_subalgebras
 
 # A frame element is one int: a bit per (member, spectrum point), each
@@ -240,11 +240,16 @@ class FrameMap:
                         raise StructuralError("induced point map not single-valued")
                     self.push[self.src.bit[i, cs[0]]] |= 1 << self.dst.bit[j, q]
 
-    def __call__(self, F: FrameElement) -> FrameElement:
-        self.src.check_shape(F)
+    def _pushed(self, F: FrameElement) -> FrameElement:
+        """The OR of ``push[b]`` over the bits of ``F``, unchecked."""
         fam = self.dst.bottom()
         for b in _bits(F):
             fam |= self.push[b]
+        return fam
+
+    def __call__(self, F: FrameElement) -> FrameElement:
+        self.src.check_shape(F)
+        fam = self._pushed(F)
         if not self.dst.admissible(fam):
             raise StructuralError("morphism action produced an inadmissible family")
         return fam
@@ -257,8 +262,11 @@ class FrameMap:
         ``self`` preserves every binary meet exactly when it preserves
         ``up[b] & up[c]`` for every pair ``b < c``.  That argument needs
         each row ``up[b]`` to hold ``b`` and to be admissible, which is
-        checked first.  The meet witness is re-checkable: two rows plus the
-        first target member their images differ at."""
+        checked first.  The meet of two rows is the union of the rows of
+        its bits, so its image is a union of the row images certified
+        admissible here, and the pair loop pushes it unchecked.  The meet
+        witness is re-checkable: two rows plus the first target member
+        their images differ at."""
         src, dst = self.src, self.dst
         if not all(row >> b & 1 and src.admissible(row)
                    for b, row in enumerate(src.up)):
@@ -269,7 +277,7 @@ class FrameMap:
         witness = None
         for b, c in itertools.combinations(range(len(src.up)), 2):
             F, G = src.up[b], src.up[c]
-            img, expected = self(F & G), images[b] & images[c]
+            img, expected = self._pushed(F & G), images[b] & images[c]
             if img != expected:
                 witness = (F, G, next(
                     j for j in range(len(dst.spectra))
@@ -281,40 +289,14 @@ class FrameMap:
 
 
 def reflects_commeasurability(f: PbaMorphism) -> bool:
-    """True iff commeasurable images force commeasurable arguments.  The
-    elementwise condition is computed directly and asserted equal to its
-    diagram formulation (joint refinement of members into a common image
-    target), which is computed independently."""
-    A, B = f.dom, f.cod
-    elementwise = True
-    for a in range(A.n):
-        for b in range(A.n):
-            if B.comm_pair(f.map[a], f.map[b]) and not A.comm_pair(a, b):
-                elementwise = False
-                break
-        if not elementwise:
-            break
-
-    PA = boolean_subalgebras(A)
-    PB = boolean_subalgebras(B)
-    diagrammatic = True
-    for C in PA.members:
-        for Cp in PA.members:
-            for D in PB.members:
-                if not (member_image(f, C) <= D and member_image(f, Cp) <= D):
-                    continue
-                if not any(C <= Cpp and Cp <= Cpp and member_image(f, Cpp) <= D
-                           for Cpp in PA.members):
-                    diagrammatic = False
-                    break
-            if not diagrammatic:
-                break
-        if not diagrammatic:
-            break
-    if elementwise != diagrammatic:
-        raise PbalgError(
-            "elementwise and diagrammatic commeasurability reflection disagree")
-    return elementwise
+    """True iff commeasurable images force commeasurable arguments: for
+    every a, the x whose image is commeasurable with f(a) lie in
+    ``A.comm[a]``.  A full row of A holds every such x, so only the other
+    rows are pulled back."""
+    A = f.dom
+    full = (1 << A.n) - 1
+    return all(_comm_pullback(f, a) & ~row == 0
+               for a, row in enumerate(A.comm) if row != full)
 
 
 def frame_nontrivial_without_states(A: PartialBooleanAlgebra) -> bool:

@@ -1552,27 +1552,30 @@ def _signature(A: PartialBooleanAlgebra, a: int) -> tuple:
     return (a == A.zero, a == A.one, a == A.neg[a], row.bit_count(), down)
 
 
+def _comm_pullback(f: PbaMorphism, a: int) -> int:
+    """The mask of the x in f's domain whose images are commeasurable with
+    f(a): the row ``B.comm[f(a)]`` pulled back along f, gathered through the
+    row's binary string (character v is bit v).  A full row pulls back to a
+    full mask at once."""
+    A, B = f.dom, f.cod
+    row = B.comm[f.map[a]]
+    if row == (1 << B.n) - 1:
+        return (1 << A.n) - 1
+    bits = format(row, f"0{B.n}b")[::-1]
+    return int("".join(map(bits.__getitem__, f.map))[::-1], 2)
+
+
 def _certify_isomorphism(f: PbaMorphism) -> None:
     """Raise PbalgError unless f is a morphism, a bijection, and reflects
     commeasurability, so that its inverse is a morphism too."""
     chk = check_morphism(f)
     if not chk.ok:
         raise PbalgError(f"isomorphism search returned a non-morphism: {chk.message}")
-    A, B, m = f.dom, f.cod, f.map
-    if A.n != B.n or len(set(m)) != B.n:
+    A, B = f.dom, f.cod
+    if A.n != B.n or len(set(f.map)) != B.n:
         raise PbalgError("isomorphism search returned a map that is not a bijection")
-    inverse = [0] * B.n
-    for a, v in enumerate(m):
-        inverse[v] = a
-    full = (1 << A.n) - 1
     for a in range(A.n):
-        # bit v of the moved row is bit inverse[v] of A.comm[a]; a bijection
-        # moves a full row onto a full row
-        moved = A.comm[a]
-        if moved != full:
-            bits = format(moved, f"0{A.n}b")[::-1]
-            moved = int("".join(map(bits.__getitem__, inverse))[::-1], 2)
-        if moved != B.comm[m[a]]:
+        if _comm_pullback(f, a) != A.comm[a]:
             raise PbalgError(
                 f"isomorphism search returned a map that does not reflect "
                 f"commeasurability at {A.labels[a]}")

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 
 from .errors import DomainError, SearchCutoffError
 from .core import (
@@ -114,14 +115,14 @@ def boolean_subalgebras(A: PartialBooleanAlgebra,
                     f"subalgebra enumeration exceeded {max_members} members",
                     limit=max_members)
     members = tuple(sorted(found, key=lambda s: (len(s), tuple(sorted(s)))))
-    leq = []
-    for s in members:
-        row = 0
-        for j, t in enumerate(members):
-            if s <= t:
-                row |= 1 << j
-        leq.append(row)
-    return SubalgebraPoset(algebra=A, members=members, leq=tuple(leq))
+    # holders[e]: the members containing e; a member lies below exactly the
+    # members holding all of its elements
+    holders = [0] * A.n
+    for j, t in enumerate(members):
+        for e in t:
+            holders[e] |= 1 << j
+    leq = tuple(reduce(and_, map(holders.__getitem__, s)) for s in members)
+    return SubalgebraPoset(algebra=A, members=members, leq=leq)
 
 
 def boolean_subalgebras_oracle(A: PartialBooleanAlgebra) -> set[frozenset[int]]:

@@ -6,11 +6,12 @@ oracles for cocones and maximal cliques, block-family cocones spread out to
 per-member legs with the member-by-member cocone walk and mediation, a
 Bron-Kerbosch whose pivot scan reads every vertex, crown-shaped orders, the
 point family a two-valued state induces on the member poset, the frame-map
-report over every pair of frame elements, validation and
+report over every pair of frame elements, the diagram formulation of
+reflecting commeasurability, validation and
 the block tables walked cell by cell, the projection closure walked one
 pair at a time, and the exhaustive oracles for a block's Boolean axioms,
 the extension clause, generated subalgebras and the subalgebra poset's
-reports."""
+inclusion rows and reports."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from pbalg import core
-from pbalg.bohr import FrameMap
+from pbalg.bohr import FrameMap, member_image
 from pbalg.core import (
     UNDEF,
     MorphismCheck,
@@ -53,7 +54,8 @@ from pbalg.errors import (
     SearchCutoffError,
 )
 from pbalg.matrixalg import _CLOSURE_MAX_PROJECTIONS, _ProjectionPool, _as_matrix
-from pbalg.poset import StructureReport, SubalgebraPoset, structure_report
+from pbalg.poset import (StructureReport, SubalgebraPoset, boolean_subalgebras,
+                         structure_report)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +600,8 @@ def point_family(P: SubalgebraPoset, valuation: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# the frame-map preservation report over every pair of frame elements
+# the frame-map preservation report over every pair of frame elements, and
+# reflecting commeasurability read off member diagrams
 # ---------------------------------------------------------------------------
 
 def frame_map_report_by_elements(fm: FrameMap, elements: Sequence[int]
@@ -626,6 +629,30 @@ def frame_map_report_by_elements(fm: FrameMap, elements: Sequence[int]
         witnesses.append(witness)
     join_witness, meet_witness = witnesses
     return top_ok, join_witness, meet_witness
+
+
+def reflects_commeasurability_by_diagram(f: PbaMorphism) -> bool:
+    """The diagram formulation of reflecting commeasurability, independent
+    of ``bohr.reflects_commeasurability``: whenever two members C, C' of
+    the source land inside one target member D, some source member C''
+    holds both and still lands inside D."""
+    PA = boolean_subalgebras(f.dom)
+    PB = boolean_subalgebras(f.cod)
+    diagrammatic = True
+    for C in PA.members:
+        for Cp in PA.members:
+            for D in PB.members:
+                if not (member_image(f, C) <= D and member_image(f, Cp) <= D):
+                    continue
+                if not any(C <= Cpp and Cp <= Cpp and member_image(f, Cpp) <= D
+                           for Cpp in PA.members):
+                    diagrammatic = False
+                    break
+            if not diagrammatic:
+                break
+        if not diagrammatic:
+            break
+    return diagrammatic
 
 
 # ---------------------------------------------------------------------------
@@ -964,6 +991,19 @@ def structure_report_cubic(P: SubalgebraPoset) -> StructureReport:
             maximum = P.members[i]
     return StructureReport(least=least, atoms=atoms,
                            is_filtered=is_filtered, maximum=maximum)
+
+
+def poset_leq_by_subsets(members: Sequence[frozenset[int]]) -> tuple[int, ...]:
+    """The inclusion rows of the members, one subset test per pair:
+    ``leq[i]`` bit j iff member i is included in member j."""
+    leq = []
+    for s in members:
+        row = 0
+        for j, t in enumerate(members):
+            if s <= t:
+                row |= 1 << j
+        leq.append(row)
+    return tuple(leq)
 
 
 def commeasurability_from_members(P: SubalgebraPoset) -> list[int]:

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import point_family, tensor_iff_exhaustive
+from helpers import point_family, reflects_commeasurability_by_diagram, tensor_iff_exhaustive
 
 from pbalg.core import (
     boolean_algebra,
@@ -250,17 +250,20 @@ def test_criterion_07_bohrification():
 
 
 def test_criterion_08_reflection_equivalence():
-    # reflects_commeasurability computes the elementwise condition and
-    # asserts it equal to the diagrammatic one; sweeping it over every
-    # morphism between small corpus algebras is the exhaustive check
+    # reflects_commeasurability reads pulled-back comm rows; the diagram
+    # formulation in tests/helpers.py is computed independently, and the
+    # two must agree on every morphism between small corpus algebras and on
+    # the paper's map, which does not reflect
     algs = small_corpus(max_size=8)
-    total = 0
-    for A, B in itertools.product(algs, repeat=2):
-        for f in enumerate_morphisms(A, B):
-            reflects_commeasurability(f)
-            total += 1
+    maps = [f for A, B in itertools.product(algs, repeat=2)
+            for f in enumerate_morphisms(A, B)]
+    maps.append(paper_counterexample_morphism())
+    disagreements = sum(reflects_commeasurability(f)
+                        != reflects_commeasurability_by_diagram(f) for f in maps)
+    assert disagreements == 0
+    assert not reflects_commeasurability(maps[-1])
     _announce(8, "reflection-equivalence",
-              f"both formulations agree on {total} morphisms")
+              f"both formulations agree on {len(maps)} morphisms")
 
 
 def test_criterion_09_matrix_bridge():

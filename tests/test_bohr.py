@@ -28,7 +28,7 @@ from pbalg.corpus import (
     small_corpus,
 )
 
-from helpers import frame_map_report_by_elements
+from helpers import frame_map_report_by_elements, reflects_commeasurability_by_diagram
 
 
 @pytest.fixture(scope="module")
@@ -226,12 +226,15 @@ def test_inclusions_reflect(mo2):
 
 
 def test_lemma_equivalence_exhaustive_on_small_corpus():
-    # the elementwise and diagrammatic formulations agree on every morphism
-    # between small corpus algebras (the helper asserts agreement internally)
+    # the pulled-back comm rows and the diagram formulation agree on every
+    # morphism between small corpus algebras and on the paper's map
     algs = small_corpus()
-    for A, B in itertools.product(algs, repeat=2):
-        for f in enumerate_morphisms(A, B):
-            reflects_commeasurability(f)
+    maps = [f for A, B in itertools.product(algs, repeat=2)
+            for f in enumerate_morphisms(A, B)]
+    maps.append(paper_counterexample_morphism())
+    verdicts = [reflects_commeasurability(f) for f in maps]
+    assert verdicts == [reflects_commeasurability_by_diagram(f) for f in maps]
+    assert len(maps) == 1605 and not verdicts[-1] and any(verdicts)
 
 
 # ---------------------------------------------------------------------------

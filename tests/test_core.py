@@ -67,6 +67,7 @@ from pbalg.core import (
     _isomorphism_search,
     _satisfies_clauses,
 )
+from pbalg.bohr import reflects_commeasurability
 from pbalg.corpus import cabello18_algebra, generated_corpus, mo3_algebra, small_corpus
 from pbalg.poset import _poset_isomorphic
 from pbalg.errors import (
@@ -927,6 +928,18 @@ def test_isomorphism_certificate_rejects_non_bijective_morphism():
     assert check_morphism(collapse).ok
     with pytest.raises(PbalgError, match="not a bijection"):
         _certify_isomorphism(collapse)
+
+
+def test_isomorphism_certificate_rejects_bijections_that_do_not_reflect():
+    # mo3's three complement pairs onto bool3's three: each such bijection is
+    # a morphism, but its image pairs commute where mo3's arguments do not
+    mo3, b3 = mo3_algebra(), boolean_algebra(3)
+    bijections = [f for f in enumerate_morphisms(mo3, b3) if len(set(f.map)) == b3.n]
+    assert len(bijections) == 48 and (0, 7, 1, 6, 2, 5, 3, 4) in {f.map for f in bijections}
+    for f in bijections:
+        assert not reflects_commeasurability(f)
+        with pytest.raises(PbalgError, match="does not reflect commeasurability"):
+            _certify_isomorphism(f)
 
 
 def _tensor_square_search():

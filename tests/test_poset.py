@@ -10,6 +10,7 @@ from helpers import (
     commeasurability_from_members,
     crown,
     hasse_edges_cubic,
+    poset_leq_by_subsets,
     report_text,
     structure_report_cubic,
 )
@@ -211,6 +212,16 @@ def test_maximal_indices_match_pairwise_scan_and_cliques(mo2):
         cliques = {frozenset(i for i in range(A.n) if c >> i & 1)
                    for c in maximal_cliques(A)}
         assert {P.members[i] for i in pairwise} == cliques
+
+
+def test_leq_rows_match_subset_tests(mo2):
+    # the rows ANDed from per-element holder masks against one subset test
+    # per member pair, on both corpora and two larger Boolean carriers
+    algs = [mo2, trivial_algebra(), *small_corpus(), *generated_corpus(50, 24),
+            chain_of_triangles(3), boolean_algebra(6), boolean_algebra(7)]
+    for A in algs:
+        P = boolean_subalgebras(A)
+        assert P.leq == poset_leq_by_subsets(P.members)
 
 
 def test_report_text_mentions_members(mo2):
