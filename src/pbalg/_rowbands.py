@@ -1,25 +1,28 @@
 """Row-band kernels for carriers and blocks of more than ``core._SMALL_MAX``
-elements: the row tests of validation and the block check, and the numpy
-half of ``core.block_tables``, the table writer.
+elements: the row tests of validation, the block check and the morphism
+check, the isomorphism signatures, and the numpy half of
+``core.block_tables``, the table writer.
 
-Each test kernel decides in numpy which rows of a table may hold a bad
-cell, and its caller walks only those rows cell by cell, so reports and
-errors are the walk's own.  A band is a run of consecutive rows of at most
-``_BAND_CELLS`` cells: it is copied into arrays, tested and dropped before
-the next one, so no kernel holds a second copy of a whole table; the
-writer scatters a block's cells a band of its rows at a time.  The
-callers import this module, and with it numpy, only on their large paths.
+A large carrier keeps one numpy copy of its tables, ``arrays(A)``: comm as
+booleans and meet and join as int32, the writer's own arrays for a carrier
+built from blocks, else converted from the tuples once.  Each test kernel
+decides in numpy which rows may hold a bad cell, and its caller walks only
+those rows cell by cell, so reports and errors are the walk's own.  A band
+is a run of consecutive rows of at most ``_BAND_CELLS`` cells: the kernels
+slice their bands from the kept arrays and drop each band's temporaries
+before the next one, and the writer scatters a block's cells a band of its
+rows at a time.  The callers import this module, and with it numpy, only on
+their large paths.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import UNDEF, PartialBooleanAlgebra
+from .core import _ARRAYS, UNDEF, PartialBooleanAlgebra, PbaMorphism
 from .errors import AmalgamError
 
 # cells per band: 64 rows of a 1024-element carrier, 256 KB as int32
@@ -33,15 +36,26 @@ def _bands(count: int, width: int) -> Iterator[tuple[int, int]]:
     return ((r, min(r + step, count)) for r in range(0, count, step))
 
 
-def _bit_rows(rows: Sequence[int], shift: int, width: int) -> np.ndarray:
-    """Bits ``shift`` .. ``shift + width - 1`` of each row bitmask, as a
-    boolean array with one row per bitmask."""
-    nbytes = (width + 7) // 8
-    keep = (1 << width) - 1
-    buf = b"".join((r >> shift & keep).to_bytes(nbytes, "little") for r in rows)
-    bits = np.unpackbits(np.frombuffer(buf, np.uint8).reshape(len(rows), nbytes),
-                         axis=1, bitorder="little")
-    return bits[:, :width].astype(bool)
+def arrays(A: PartialBooleanAlgebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A's comm as an n×n boolean array and its meet and join as n×n int32
+    arrays (UNDEF as -1): the arrays A's writer kept, else converted from
+    A's tables once and kept on A, in ``A.__dict__`` under
+    ``core._ARRAYS``.  They are no dataclass field, so equality, hashing
+    and ``dataclasses.replace`` ignore them, and a replaced carrier
+    converts its own tables."""
+    kept = A.__dict__.get(_ARRAYS)
+    if kept is None:
+        n = A.n
+        nbytes = (n + 7) // 8
+        buf = b"".join(row.to_bytes(nbytes, "little") for row in A.comm)
+        comm = np.unpackbits(np.frombuffer(buf, np.uint8).reshape(n, nbytes),
+                             axis=1, count=n, bitorder="little").astype(bool)
+        meet, join = np.empty((2, n, n), np.int32)
+        for out, table in ((meet, A.meet), (join, A.join)):
+            for a, row in enumerate(table):
+                out[a] = np.fromiter(row, np.int32, n)
+        kept = A.__dict__[_ARRAYS] = comm, meet, join
+    return kept
 
 
 def pair_rows(A: PartialBooleanAlgebra) -> Iterator[int]:
@@ -51,14 +65,13 @@ def pair_rows(A: PartialBooleanAlgebra) -> Iterator[int]:
     its rows from its own first row on, so a few clean rows may be named
     too; the walk reports nothing on those."""
     n = A.n
+    comm, meet, join = arrays(A)
     for r0, r1 in _bands(n, n):
-        w = n - r0
-        comm = _bit_rows(A.comm[r0:r1], r0, w)
-        bad = (comm != _bit_rows(A.comm[r0:], r0, r1 - r0).T).any(1)
-        for table in (A.meet, A.join):
-            rows = np.array([row[r0:] for row in table[r0:r1]], np.int32)
-            cols = np.array([row[r0:r1] for row in table[r0:]], np.int32).T
-            bad |= ((rows != UNDEF) != comm).any(1) | (rows != cols).any(1)
+        row_comm = comm[r0:r1, r0:]
+        bad = (row_comm != comm[r0:, r0:r1].T).any(1)
+        for table in (meet, join):
+            rows = table[r0:r1, r0:]
+            bad |= ((rows != UNDEF) != row_comm).any(1) | (rows != table[r0:, r0:r1].T).any(1)
         yield from (np.flatnonzero(bad) + r0).tolist()
 
 
@@ -68,16 +81,49 @@ def transport_rows(A: PartialBooleanAlgebra, elems: Sequence[int],
     row over the block is not the atom intersection or union; ``below[p]``
     is the atom set of ``elems[p]``.  Cells off the block, UNDEF included,
     look up -1, which no atom set equals."""
+    _, meet, join = arrays(A)
     lut = np.full(A.n + 1, -1, np.int64)
     own = np.array(below, np.int64)
-    lut[np.array(elems, np.intp)] = own
-    gather = itemgetter(*elems)
+    index = np.array(elems, np.intp)
+    lut[index] = own
     for r0, r1 in _bands(len(elems), len(elems)):
-        meet, join = (lut[np.array([gather(table[a]) for a in elems[r0:r1]], np.intp)]
-                      for table in (A.meet, A.join))
+        cells = np.ix_(index[r0:r1], index)
         ma = own[r0:r1, None]
-        bad = ((meet != ma & own) | (join != ma | own)).any(1)
+        bad = ((lut[meet[cells]] != ma & own) | (lut[join[cells]] != ma | own)).any(1)
         yield from (np.flatnonzero(bad) + r0).tolist()
+
+
+def morphism_rows(f: PbaMorphism) -> Iterator[int]:
+    """Ascending rows a of f's domain A with a pair (a, b), b > a,
+    commeasurable in A, at which f does not preserve comm, meet or join:
+    the cells ``check_morphism`` compares, with UNDEF read as -1 at both
+    ends as the walk reads it, so exactly the rows on which it finds a
+    violation."""
+    A, B = f.dom, f.cod
+    comm_a, meet_a, join_a = arrays(A)
+    comm_b, meet_b, join_b = arrays(B)
+    m = np.array(f.map, np.intp)
+    n = A.n
+    for r0, r1 in _bands(n, n):
+        cells = np.ix_(m[r0:r1], m[r0:])
+        above = np.arange(r0, n) > np.arange(r0, r1)[:, None]
+        bad = (~comm_b[cells] | (m[meet_a[r0:r1, r0:]] != meet_b[cells])
+               | (m[join_a[r0:r1, r0:]] != join_b[cells]))
+        yield from (np.flatnonzero((bad & above & comm_a[r0:r1, r0:]).any(1)) + r0).tolist()
+
+
+def signatures(A: PartialBooleanAlgebra) -> list[tuple]:
+    """``core._signature`` of every element of A: its comm degree is its
+    row's count of comm cells, and the commeasurable elements below it
+    are the b with ``meet[a][b] == b`` on its comm row."""
+    n = A.n
+    comm, meet, _ = arrays(A)
+    diagonal = np.arange(n, dtype=np.int32)
+    down = np.concatenate([((meet[r0:r1] == diagonal) & comm[r0:r1]).sum(1)
+                           for r0, r1 in _bands(n, n)])
+    return [(a == A.zero, a == A.one, a == neg, degree, below)
+            for a, neg, degree, below in zip(range(n), A.neg, comm.sum(1).tolist(),
+                                             down.tolist())]
 
 
 def _scatter(table: np.ndarray, cells, values: np.ndarray) -> bool:
@@ -92,13 +138,15 @@ def _scatter(table: np.ndarray, cells, values: np.ndarray) -> bool:
 
 def scatter_tables(n: int, blocks: Iterable[Sequence[int]]
                    ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...],
-                              tuple[tuple[int, ...], ...]]:
+                              tuple[tuple[int, ...], ...],
+                              tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """neg, meet and join of ``core.block_tables``, scattered from each
     block in turn: row ``local[a]`` gets ``local[a & b]`` and ``local[a | b]``
-    at ``local[b]``.  A cell written twice with different values raises
-    AmalgamError, naming negation, else meet if the conflicting band's meet
-    writes conflict, else join.  Each cell of the returned rows is one
-    shared int object per element."""
+    at ``local[b]``, and the carrier's ``arrays``: the blocks cover it, so
+    comm is where the tables are defined.  A cell written twice with
+    different values raises AmalgamError, naming negation, else meet if the
+    conflicting band's meet writes conflict, else join.  Each cell of the
+    returned rows is one shared int object per element."""
     neg = np.full(n, UNDEF, np.int32)
     meet = np.full((n, n), UNDEF, np.int32)
     join = np.full((n, n), UNDEF, np.int32)
@@ -122,4 +170,4 @@ def scatter_tables(n: int, blocks: Iterable[Sequence[int]]
         return tuple(itertools.chain.from_iterable(
             map(tuple, objs[table[r0:r1]]) for r0, r1 in _bands(n, n)))
 
-    return tuple(objs[neg]), rows(meet), rows(join)
+    return tuple(objs[neg]), rows(meet), rows(join), (meet != UNDEF, meet, join)

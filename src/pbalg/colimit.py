@@ -31,14 +31,13 @@ from .core import (
     PartialBooleanAlgebra,
     PbaMorphism,
     _bit_positions,
+    _block_algebra,
     _boolean_block,
     _compile_clauses,
     _count_morphisms,
     _satisfies_clauses,
     _target_blocks,
-    _trusted_algebra,
     atoms_of_subalgebra,
-    block_tables,
     boolean_algebra,
     check_morphism,
     compose,
@@ -407,11 +406,9 @@ def coproduct(algs: Sequence[PartialBooleanAlgebra]) -> tuple[PartialBooleanAlge
         pos.append(table)
 
     # the maximal blocks of the coproduct are those of its summands
-    neg, comm, meet, join = block_tables(n, [
-        [pos[si][e] for e in element]
-        for si, A in enumerate(algs) for _, element in _target_blocks(A)])
-    out = _trusted_algebra(n=n, zero=0, one=1, neg=neg, comm=comm,
-                           meet=meet, join=join, labels=tuple(labels))
+    out = _block_algebra(n, [[pos[si][e] for e in element]
+                             for si, A in enumerate(algs) for _, element in _target_blocks(A)],
+                         0, 1, tuple(labels))
     report = validate(out)
     if not report.ok:
         raise InvalidAlgebraError("coproduct carrier fails validation", report=report)
@@ -439,11 +436,8 @@ def product(algs: Sequence[PartialBooleanAlgebra]) -> tuple[PartialBooleanAlgebr
     for A in algs:
         blocks = [[p * A.n + e for e in element for p in local]
                   for local in blocks for _, element in _target_blocks(A)]
-    neg, comm, meet, join = block_tables(len(tuples), blocks)
     # every block holds zero at the empty atom set and one at the full one
-    out = _trusted_algebra(n=len(tuples), zero=blocks[0][0], one=blocks[0][-1],
-                           neg=neg, comm=comm, meet=meet, join=join,
-                           labels=tuple(labels))
+    out = _block_algebra(len(tuples), blocks, blocks[0][0], blocks[0][-1], tuple(labels))
     report = validate(out)
     if not report.ok:
         raise InvalidAlgebraError("product carrier fails validation", report=report)
@@ -622,18 +616,14 @@ def tensor_product(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
     # every distinct entry and meet every conflict.  Each one's elements
     # (local[mask] for each submask) form one block of T.  They cover T, so
     # every cell is in range and the constructor's range checks are skipped.
-    neg, comm, meet, join = block_tables(n, [
-        list(map(root_index.__getitem__,
-                 root_of[slot(obj, 0):slot(obj, 1 << len(pair_lists[obj]))]))
-        for obj in maximal])
-
     labels = [f"t{i}" for i in range(n)]
     labels[zero_idx] = "0"
     if one_idx != zero_idx:
         labels[one_idx] = "1"
-    T = _trusted_algebra(
-        n=n, zero=zero_idx, one=one_idx, neg=neg, comm=comm,
-        meet=meet, join=join, labels=tuple(labels))
+    T = _block_algebra(n, [
+        list(map(root_index.__getitem__,
+                 root_of[slot(obj, 0):slot(obj, 1 << len(pair_lists[obj]))]))
+        for obj in maximal], zero_idx, one_idx, tuple(labels))
     report = validate(T)
     if not report.ok:
         raise AmalgamError(f"tensor carrier fails validation: {report}")

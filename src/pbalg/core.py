@@ -262,17 +262,18 @@ def make_pba(
 
 
 def block_tables(n: int, blocks: Sequence[Sequence[int]]
-                 ) -> tuple[tuple[int, ...], tuple[int, ...],
-                            tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+                 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...],
+                            tuple[tuple[int, ...], ...], tuple | None]:
     """neg, comm, meet and join of the carrier on n elements fixed by its
     Boolean ``blocks``, each given as its element per atom-set mask,
     ``local[mask]``: row ``local[a]`` holds ``local[a & b]`` and
     ``local[a | b]`` at ``local[b]``, and ``neg[local[a]]`` is
-    ``local[full ^ a]``.  The blocks must cover every element, so that neg
-    is total and every cell is in range.  A cell written twice with
-    different values raises AmalgamError naming negation, meet or join.
-    Above _SMALL_MAX elements the cells are scattered in numpy
-    (``_rowbands``); smaller carriers never import numpy."""
+    ``local[full ^ a]``; then the carrier's ``_rowbands.arrays``, or None.
+    The blocks must cover every element, so that neg is total and every
+    cell is in range.  A cell written twice with different values raises
+    AmalgamError naming negation, meet or join.  Above _SMALL_MAX elements
+    the cells are scattered in numpy arrays, which are returned too;
+    smaller carriers are written cell by cell and never import numpy."""
     comm = [0] * n
     for local in blocks:
         span = sum(1 << e for e in set(local))
@@ -280,8 +281,8 @@ def block_tables(n: int, blocks: Sequence[Sequence[int]]
             comm[e] |= span
     if n > _SMALL_MAX:
         from ._rowbands import scatter_tables
-        neg, meet, join = scatter_tables(n, blocks)
-        return neg, tuple(comm), meet, join
+        neg, meet, join, arrays = scatter_tables(n, blocks)
+        return neg, tuple(comm), meet, join, arrays
     # one cell at a time: each block's negation, then its rows in mask
     # order, meet before join
     neg = [UNDEF] * n
@@ -301,7 +302,20 @@ def block_tables(n: int, blocks: Sequence[Sequence[int]]
                         if row[f] != UNDEF:
                             raise AmalgamError(f"{name} ill-defined on the carrier")
                         row[f] = v
-    return tuple(neg), tuple(comm), tuple(map(tuple, meet)), tuple(map(tuple, join))
+    return tuple(neg), tuple(comm), tuple(map(tuple, meet)), tuple(map(tuple, join)), None
+
+
+def _block_algebra(n: int, blocks: Sequence[Sequence[int]], zero: int, one: int,
+                   labels: tuple[str, ...]) -> PartialBooleanAlgebra:
+    """The carrier whose tables ``block_tables`` writes from ``blocks``,
+    built by ``_trusted_algebra``; above _SMALL_MAX it keeps the writer's
+    arrays for the row tests.  The caller still validates it."""
+    neg, comm, meet, join, arrays = block_tables(n, blocks)
+    A = _trusted_algebra(n=n, zero=zero, one=one, neg=neg, comm=comm,
+                         meet=meet, join=join, labels=labels)
+    if arrays is not None:
+        A.__dict__[_ARRAYS] = arrays
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +328,9 @@ def boolean_algebra(k: int) -> PartialBooleanAlgebra:
     if k < 0:
         raise DomainError("atom count must be >= 0")
     n = 1 << k
-    full = n - 1
     labels = tuple(format(x, f"0{k}b") if k else "0" for x in range(n))
-    comm = tuple(( _bit(n) - 1) for _ in range(n))
-    meet = tuple(tuple(a & b for b in range(n)) for a in range(n))
-    join = tuple(tuple(a | b for b in range(n)) for a in range(n))
-    neg = tuple(full ^ a for a in range(n))
-    return PartialBooleanAlgebra(n=n, zero=0, one=full, neg=neg, comm=comm,
-                                 meet=meet, join=join, labels=labels)
+    # one block, each element over its own bits as atom set
+    return _block_algebra(n, [range(n)], 0, n - 1, labels)
 
 
 def trivial_algebra() -> PartialBooleanAlgebra:
@@ -434,6 +443,10 @@ class ValidationReport:
 # scatters; smaller ones keep the pure-Python tests and never import numpy.
 # The size only chooses how rows are tested: every report is the same.
 _SMALL_MAX = 32
+
+# The key in a carrier's __dict__ of the numpy copy of its tables that its
+# writer kept or _rowbands.arrays converted: see _rowbands.arrays.
+_ARRAYS = "_arrays"
 
 
 def _gather(elems: list[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
@@ -736,11 +749,9 @@ def paste_blocks(h: BlockHypergraph) -> PartialBooleanAlgebra:
             subs += [s | {atom} for s in subs]
         blocks.append([elem_of(bi, s) for s in subs])
     try:
-        neg, comm, meet, join = block_tables(n, blocks)
+        A = _block_algebra(n, blocks, zero, one, tuple(labels))
     except AmalgamError as exc:
         raise InvalidAlgebraError(f"pasting produced conflicting tables: {exc}") from exc
-    A = _trusted_algebra(n=n, zero=zero, one=one, neg=neg, comm=comm,
-                         meet=meet, join=join, labels=tuple(labels))
     report = validate(A)
     if not report.ok:
         raise InvalidAlgebraError("pasted algebra fails validation", report=report)
@@ -983,9 +994,15 @@ def check_morphism(f: PbaMorphism) -> MorphismCheck:
     # One ascending walk over the pairs a < b commeasurable in A, reading
     # the set bits of A.comm[a] above a off its binary digits.  A comm
     # violation anywhere is reported first; otherwise the first meet or join
-    # violation in pair order, meet before join.
+    # violation in pair order, meet before join.  Above _SMALL_MAX elements
+    # only the rows a numpy test finds a violation on are walked, which
+    # gives the same first violations.
+    rows: Iterable[int] = range(A.n)
+    if A.n > _SMALL_MAX:
+        from ._rowbands import morphism_rows
+        rows = morphism_rows(f)
     bad = None
-    for a in range(A.n):
+    for a in rows:
         row = B.comm[m[a]]
         meet, join = A.meet[a], A.join[a]
         meet_b, join_b = B.meet[m[a]], B.join[m[a]]
@@ -1342,11 +1359,9 @@ def image_factorization(f: PbaMorphism) -> ImageFactorization:
     # every commeasurable pair of A lies in a maximal block, so the images
     # of those blocks carry the pushforward and, f being a morphism, B's
     # operations; repeated elements write equal cells
-    neg, comm, meet, join = block_tables(len(embed), [
-        [image_of[a] for a in element] for _, element in _target_blocks(A)])
-    image = _trusted_algebra(
-        n=len(embed), zero=pos[B.zero], one=pos[B.one], neg=neg, comm=comm,
-        meet=meet, join=join, labels=tuple(B.labels[v] for v in embed))
+    image = _block_algebra(
+        len(embed), [[image_of[a] for a in element] for _, element in _target_blocks(A)],
+        pos[B.zero], pos[B.one], tuple(B.labels[v] for v in embed))
     report = validate(image)
     if not report.ok:
         raise InvalidAlgebraError("image carrier fails validation", report=report)
@@ -1586,8 +1601,12 @@ def find_isomorphism(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra) -> tupl
     and reflecting comm.  Returns the map A-index -> B-index, or None."""
     if A.n != B.n:
         return None
-    candidates = _candidate_classes([_signature(A, a) for a in range(A.n)],
-                                    [_signature(B, b) for b in range(B.n)])
+    if A.n > _SMALL_MAX:
+        from ._rowbands import signatures
+        candidates = _candidate_classes(signatures(A), signatures(B))
+    else:
+        candidates = _candidate_classes([_signature(A, a) for a in range(A.n)],
+                                        [_signature(B, b) for b in range(B.n)])
     if candidates is None:
         return None
     cols_a = _columns(A.comm)

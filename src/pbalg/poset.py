@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import and_
 
 from .errors import DomainError, SearchCutoffError
@@ -59,7 +59,9 @@ class SubalgebraPoset:
     """All total Boolean subalgebras of ``algebra``, ordered by inclusion.
 
     ``members`` is canonically ordered (by size, then element tuple);
-    ``leq[i]`` is the bitmask of members that contain member i.
+    ``leq[i]`` is the bitmask of members that contain member i, and
+    ``columns[j]``, built once per poset, that of the members contained in
+    member j.
     """
 
     algebra: PartialBooleanAlgebra
@@ -84,11 +86,15 @@ class SubalgebraPoset:
         their own bit."""
         return [i for i, row in enumerate(self.leq) if row == 1 << i]
 
+    @cached_property
+    def columns(self) -> list[int]:
+        return _columns(self.leq)
+
     def hasse_edges(self) -> list[tuple[int, int]]:
         """Cover pairs (i, j) with member i directly below member j: the
         members between them, ``leq[i]`` meeting the column of j, are just
         i and j."""
-        cols = _columns(self.leq)
+        cols = self.columns
         return [(i, j) for i, row in enumerate(self.leq) for j in _bit_positions(row)
                 if i != j and row & cols[j] == (1 << i) | (1 << j)]
 
@@ -164,7 +170,7 @@ def structure_report(P: SubalgebraPoset) -> StructureReport:
     A = P.algebra
     least = frozenset({A.zero, A.one})
     li = P.index_of(least)
-    cols = _columns(P.leq)
+    cols = P.columns
     atoms = tuple(P.members[i] for i, col in enumerate(cols)
                   if i != li and col == (1 << li) | (1 << i))
     full = (1 << len(P.members)) - 1

@@ -1,17 +1,18 @@
-"""Shared machinery for the test suite: vectorized exhaustive checks for the
-tensor factorization criterion, a pairwise morphism-clause walk, a
-brute-force isomorphism oracle with a carrier relabelling to feed it, the
-isomorphism search as it was before its used-image mask, product-and-filter
-oracles for cocones and maximal cliques, block-family cocones spread out to
-per-member legs with the member-by-member cocone walk and mediation, a
-Bron-Kerbosch whose pivot scan reads every vertex, crown-shaped orders, the
-point family a two-valued state induces on the member poset, the frame-map
-report over every pair of frame elements, the diagram formulation of
-reflecting commeasurability, validation and
-the block tables walked cell by cell, the projection closure walked one
-pair at a time, and the exhaustive oracles for a block's Boolean axioms,
-the extension clause, generated subalgebras and the subalgebra poset's
-inclusion rows and reports."""
+"""Shared machinery for the test suite: the Boolean algebra built by
+comprehensions, vectorized exhaustive checks for the tensor factorization
+criterion, a pairwise morphism-clause walk and the morphism check walked
+over every row, a brute-force isomorphism oracle with a carrier
+relabelling to feed it, the isomorphism search as it was before its
+used-image mask, product-and-filter oracles for cocones and maximal
+cliques, block-family cocones spread out to per-member legs with the
+member-by-member cocone walk and mediation, a Bron-Kerbosch whose pivot
+scan reads every vertex, crown-shaped orders, the point family a
+two-valued state induces on the member poset, the frame-map report over
+every pair of frame elements, the diagram formulation of reflecting
+commeasurability, validation and the block tables walked cell by cell, the
+projection closure walked one pair at a time, and the exhaustive oracles
+for a block's Boolean axioms, the extension clause, generated subalgebras
+and the subalgebra poset's inclusion rows and reports."""
 
 from __future__ import annotations
 
@@ -56,6 +57,25 @@ from pbalg.errors import (
 from pbalg.matrixalg import _CLOSURE_MAX_PROJECTIONS, _ProjectionPool, _as_matrix
 from pbalg.poset import (StructureReport, SubalgebraPoset, boolean_subalgebras,
                          structure_report)
+
+
+# ---------------------------------------------------------------------------
+# the Boolean algebra built by comprehensions
+# ---------------------------------------------------------------------------
+
+def comprehension_boolean_algebra(k: int) -> PartialBooleanAlgebra:
+    """core.boolean_algebra as it was before it went through the block
+    table writer: each table a comprehension over the bitmask elements.
+    The reference for its tables."""
+    n = 1 << k
+    full = n - 1
+    labels = tuple(format(x, f"0{k}b") if k else "0" for x in range(n))
+    comm = tuple((1 << n) - 1 for _ in range(n))
+    meet = tuple(tuple(a & b for b in range(n)) for a in range(n))
+    join = tuple(tuple(a | b for b in range(n)) for a in range(n))
+    neg = tuple(full ^ a for a in range(n))
+    return PartialBooleanAlgebra(n=n, zero=0, one=full, neg=neg, comm=comm,
+                                 meet=meet, join=join, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +233,41 @@ def check_morphism_pairwise(f: PbaMorphism) -> MorphismCheck:
         if m[A.join[a][b]] != B.join[m[a]][m[b]]:
             return MorphismCheck(False, "join", (a, b),
                                  f"join not preserved at ({A.labels[a]}, {A.labels[b]})")
+    return MorphismCheck(True)
+
+
+def walk_check_morphism(f: PbaMorphism) -> MorphismCheck:
+    """core.check_morphism as it was before its numpy row test: the walk
+    over every row.  The reference for the rows the test picks."""
+    A, B, m = f.dom, f.cod, f.map
+    if m[A.zero] != B.zero:
+        return MorphismCheck(False, "zero", (A.zero,), "does not preserve 0")
+    if m[A.one] != B.one:
+        return MorphismCheck(False, "one", (A.one,), "does not preserve 1")
+    for a in range(A.n):
+        if m[A.neg[a]] != B.neg[m[a]]:
+            return MorphismCheck(False, "neg", (a,),
+                                 f"neg not preserved at {A.labels[a]}")
+    bad = None
+    for a in range(A.n):
+        row = B.comm[m[a]]
+        meet, join = A.meet[a], A.join[a]
+        meet_b, join_b = B.meet[m[a]], B.join[m[a]]
+        for b, digit in enumerate(bin(A.comm[a] >> (a + 1))[:1:-1], a + 1):
+            if digit == "0":
+                continue
+            if not row >> m[b] & 1:
+                return MorphismCheck(False, "comm", (a, b),
+                                     f"commeasurability not preserved at ({A.labels[a]}, {A.labels[b]})")
+            if bad is None:
+                if m[meet[b]] != meet_b[m[b]]:
+                    bad = ("meet", a, b)
+                elif m[join[b]] != join_b[m[b]]:
+                    bad = ("join", a, b)
+    if bad is not None:
+        clause, a, b = bad
+        return MorphismCheck(False, clause, (a, b),
+                             f"{clause} not preserved at ({A.labels[a]}, {A.labels[b]})")
     return MorphismCheck(True)
 
 

@@ -8,6 +8,8 @@ import functools
 import hashlib
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -18,7 +20,9 @@ from helpers import (
     walk_mediating_morphism,
 )
 from pbalg import colimit
+from pbalg._rowbands import arrays
 from pbalg.core import (
+    _ARRAYS,
     _SMALL_MAX,
     UNDEF,
     PbaMorphism,
@@ -759,6 +763,25 @@ def test_tensor_product_is_pinned(pair):
     assert digests == TENSOR_DIGESTS[pair]
 
 
+def test_small_carriers_never_import_numpy():
+    # the table writer, validation and the colimit check stay in pure
+    # Python up to _SMALL_MAX elements, so a process that builds and checks
+    # only small carriers loads no numpy
+    code = "\n".join([
+        "import sys",
+        "import pbalg",
+        "from pbalg.colimit import verify_colimit",
+        "from pbalg.core import boolean_algebra",
+        "from pbalg.corpus import generated_corpus",
+        "boolean_algebra(5)",
+        "for A in sorted(generated_corpus(50, 24), key=lambda A: A.n)[:5]:",
+        "    assert verify_colimit(A).ok",
+        "sys.exit('numpy' in sys.modules)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_tensor_cells_share_one_int_per_element():
     # each cell of T's tables references the one int object of its element
     # (or UNDEF), as a table built by ndarray.tolist() would not: 512
@@ -770,9 +793,11 @@ def test_tensor_cells_share_one_int_per_element():
 
 def test_tensor_carrier_passes_the_checked_constructor():
     # tensor_product, product, coproduct, paste_blocks and
-    # image_factorization build their carriers from block_tables without
+    # image_factorization build their carriers with _block_algebra without
     # the constructor's range checks; the checked constructor accepts each
-    # such carrier, on both sides of the size switch, and gives it back equal
+    # such carrier, on both sides of the size switch, and gives it back
+    # equal.  Above the switch the arrays the writer kept equal those the
+    # rebuilt carrier converts from its tables
     pairs = list(itertools.product(small_corpus(), repeat=2))
     carriers = [tensor_product(A, B).algebra for A, B in pairs]
     carriers.append(tensor_product(boolean_algebra(2), boolean_algebra(5)).algebra)
@@ -787,7 +812,11 @@ def test_tensor_carrier_passes_the_checked_constructor():
     assert carriers[-1].n == 484
     assert {C.n > _SMALL_MAX for C in carriers} == {False, True}
     for C in carriers:
-        assert dataclasses.replace(C) == C
+        D = dataclasses.replace(C)
+        assert D == C
+        if C.n > _SMALL_MAX:
+            assert _ARRAYS in C.__dict__ and _ARRAYS not in D.__dict__
+            assert all((x == y).all() for x, y in zip(arrays(C), arrays(D)))
 
 
 def _tables_or_error(build, n, objects):
@@ -807,7 +836,8 @@ def test_block_tables_match_cell_walk():
     # elements, as image_factorization passes them.  The writer gives the
     # walk's tables, with comm defined exactly where they are, or raises
     # where the walk raises: below the switch naming the same table, above
-    # it possibly another of several conflicting ones
+    # it possibly another of several conflicting ones.  Above the switch it
+    # also hands back its arrays, equal to the tables
     rng = random.Random(23)
     seen = set()
     for _ in range(1200):
@@ -847,10 +877,16 @@ def test_block_tables_match_cell_walk():
             if not large:
                 assert str(got).split()[0] == str(want).split()[0], objects
         else:
-            neg_t, comm, meet, join = got
+            neg_t, comm, meet, join, arrays = got
             assert (neg_t, meet, join) == want, objects
             assert comm == tuple(sum(1 << b for b, v in enumerate(row) if v != UNDEF)
                                  for row in want[1]), objects
+            if large:
+                assert [a.tolist() for a in arrays] == [
+                    [[v != UNDEF for v in row] for row in meet],
+                    list(map(list, meet)), list(map(list, join))], objects
+            else:
+                assert arrays is None
         seen.add((large, str(want).split()[0] if isinstance(want, AmalgamError) else "tables"))
     # the sample reaches every outcome of the walk on both sides of the switch
     assert seen == {(large, outcome) for large in (False, True)

@@ -20,6 +20,7 @@ from helpers import (
     bron_kerbosch_full_scan,
     brute_force_isomorphic,
     check_morphism_pairwise,
+    comprehension_boolean_algebra,
     crown,
     eager_find_isomorphism,
     eager_isomorphism_search,
@@ -27,9 +28,11 @@ from helpers import (
     generated_subalgebra_oracle,
     maximal_cliques_by_subsets,
     relabel,
+    walk_check_morphism,
     walk_validate,
 )
 from pbalg import core
+from pbalg._rowbands import morphism_rows, signatures
 from pbalg.colimit import tensor_product
 from pbalg.core import (
     UNDEF,
@@ -66,6 +69,7 @@ from pbalg.core import (
     _count_morphisms,
     _isomorphism_search,
     _satisfies_clauses,
+    _signature,
 )
 from pbalg.bohr import reflects_commeasurability
 from pbalg.corpus import cabello18_algebra, generated_corpus, mo3_algebra, small_corpus
@@ -305,6 +309,29 @@ def test_validate_matches_cell_walk_on_one_cell_corruptions():
     assert checked > 800
 
 
+def test_validate_reads_a_replaced_carriers_own_tables():
+    # the arrays a large carrier keeps are no dataclass field: a carrier
+    # replaced with one corrupted table or comm bit converts its own, and
+    # validate rejects it with the walk's report
+    T = tensor_product(boolean_algebra(2), boolean_algebra(3)).algebra
+    try:
+        assert T.n > core._SMALL_MAX and validate(T).ok
+        assert core._ARRAYS in T.__dict__
+        changes = []
+        for name in ("meet", "join"):
+            rows = [list(r) for r in getattr(T, name)]
+            rows[5][9] = rows[9][5] = (rows[5][9] + 1) % T.n
+            changes.append({name: tuple(map(tuple, rows))})
+        changes.append({"comm": T.comm[:5] + (T.comm[5] & ~(1 << 9),) + T.comm[6:]})
+        for change in changes:
+            X = dataclasses.replace(T, **change)
+            assert core._ARRAYS not in X.__dict__
+            report = validate(X)
+            assert not report.ok and report == walk_validate(X), change.keys()
+    finally:
+        core.maximal_cliques.cache_clear()
+
+
 def test_block_decoder_matches_cell_walk_on_one_cell_corruptions():
     # on the carriers and those of their corruptions whose pair walk is
     # clean, the raising decoder rejects a maximal clique exactly when the
@@ -507,6 +534,16 @@ def test_mo2_compatibility_relation(mo2):
         assert mo2.comm_pair(a, b) == expected
 
 
+def test_boolean_algebra_matches_comprehension_build():
+    # boolean_algebra is one block through the table writer, cell by cell
+    # up to _SMALL_MAX elements and scattered above: its tables are the
+    # comprehensions', and share one int object per element
+    for k in range(11):
+        A = boolean_algebra(k)
+        assert A == comprehension_boolean_algebra(k), k
+        assert len({id(v) for row in A.meet + A.join for v in row}) <= A.n, k
+
+
 def test_boolean_lattice_is_totally_commeasurable():
     b3 = boolean_algebra(3)
     leq = tuple(
@@ -680,6 +717,53 @@ def test_check_morphism_matches_pairwise_walk():
             assert chk == check_morphism_pairwise(f)
             clauses.add(chk.clause)
     assert clauses == {None, "neg", "comm", "meet", "join"}
+
+
+def test_check_morphism_above_small_max_matches_row_walk():
+    # above _SMALL_MAX check_morphism walks only the rows its numpy test
+    # names.  On seeded maps out of T(bool2, bool4), 256 elements: its
+    # isomorphisms onto bool8, those with one image changed, alone or with
+    # its negation's, and random maps keeping 0, 1 and neg into bool8, bool1
+    # and the partial Cabello-18 carrier, it gives the walk's check, and the
+    # test names exactly the rows holding a violation
+    T = tensor_product(boolean_algebra(2), boolean_algebra(4)).algebra
+    b8 = boolean_algebra(8)
+    iso = find_isomorphism(T, b8)
+    rng = random.Random(29)
+    maps = []
+    for _ in range(4):
+        perm = rng.sample(range(8), 8)
+        auto = [sum(1 << perm[i] for i in range(8) if x >> i & 1) for x in range(256)]
+        maps.append((b8, [auto[v] for v in iso]))
+    for _, m in maps[:4]:
+        for _ in range(4):
+            m = list(m)
+            a, z = rng.choice(T.nontrivial()), rng.randrange(b8.n)
+            m[a] = z
+            if rng.random() < 0.75:
+                m[T.neg[a]] = b8.neg[z]
+            maps.append((b8, m))
+    for B in (b8, boolean_algebra(1), cabello18_algebra()):
+        for _ in range(8):
+            m = [0] * T.n
+            for a in range(T.n):
+                if a < T.neg[a]:
+                    m[a] = rng.randrange(B.n)
+                    m[T.neg[a]] = B.neg[m[a]]
+            m[T.zero], m[T.one] = B.zero, B.one
+            maps.append((B, m))
+    clauses = collections.Counter()
+    for B, m in maps:
+        f = PbaMorphism(T, B, tuple(m))
+        chk = check_morphism(f)
+        assert chk == walk_check_morphism(f), m
+        assert list(morphism_rows(f)) == [
+            a for a in range(T.n)
+            if any(not B.comm_pair(m[a], m[b]) or m[T.meet[a][b]] != B.meet[m[a]][m[b]]
+                   or m[T.join[a][b]] != B.join[m[a]][m[b]]
+                   for b in _bit_positions(T.comm[a] >> a + 1 << a + 1))], m
+        clauses[chk.clause] += 1
+    assert clauses[None] >= 4 and set(clauses) == {None, "neg", "comm", "meet", "join"}
 
 
 def test_enumerate_morphisms_counts(mo2):
@@ -907,6 +991,21 @@ def _garbage(rng: random.Random, n: int) -> PartialBooleanAlgebra:
         neg=tuple(rng.randrange(n) for _ in range(n)),
         comm=tuple(rng.getrandbits(n) for _ in range(n)),
         meet=table(), join=table(), labels=tuple(f"e{i}" for i in range(n)))
+
+
+def test_numpy_signatures_match_signature():
+    # find_isomorphism reads the signatures of carriers above _SMALL_MAX off
+    # their arrays: they equal _signature on valid carriers, on one-cell
+    # corruptions of them and on garbage tables
+    rng = random.Random(31)
+    carriers = [boolean_algebra(6),
+                tensor_product(boolean_algebra(2), boolean_algebra(3)).algebra,
+                cabello18_algebra()]
+    samples = [X for A in carriers for X in (A, *_one_cell_corruptions(A, rng, 4))]
+    samples += [_garbage(rng, 40) for _ in range(4)]
+    assert min(X.n for X in samples) > core._SMALL_MAX
+    for X in samples:
+        assert signatures(X) == [_signature(X, a) for a in range(X.n)]
 
 
 def test_isomorphism_on_invalid_carriers_gives_none_or_a_map():
