@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 from .errors import DomainError, PbalgError, SearchCutoffError, StructuralError
 from .core import (PartialBooleanAlgebra, PbaMorphism, _bit_positions, _bits,
                    _comm_pullback, atoms_of_subalgebra)
-from .poset import SubalgebraPoset, boolean_subalgebras
+from .poset import boolean_subalgebras
 
 # A frame element is one int: a bit per (member, spectrum point), each
 # member's points in a contiguous field.
@@ -35,9 +35,9 @@ class BohrFrame:
     """The frame of admissible spectral-open families over the Boolean
     subalgebra poset of one carrier."""
 
-    def __init__(self, A: PartialBooleanAlgebra, P: SubalgebraPoset | None = None):
+    def __init__(self, A: PartialBooleanAlgebra):
         self.algebra = A
-        self.poset = P or boolean_subalgebras(A)
+        self.poset = boolean_subalgebras(A)
         members = self.poset.members
         self.spectra: list[tuple[int, ...]] = [
             tuple(atoms_of_subalgebra(A, m)) for m in members]

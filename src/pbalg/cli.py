@@ -403,12 +403,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves the parser as it was, so one tree serves every run
+_PARSER = build_parser()
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if getattr(args, "morphism_to", None) is not None and args.map is None:
-            parser.error("bohrify: --morphism-to needs --map")
+            _PARSER.error("bohrify: --morphism-to needs --map")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
 

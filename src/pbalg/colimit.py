@@ -264,10 +264,14 @@ def _flatten(blocks: Sequence[_Block], maps: Sequence[tuple[int, ...]], n: int) 
     return m
 
 
+# Node budget of the cocone assembly, counted apart for each block's Hom
+# list and for the assembly.
+_COCONE_MAX_NODES = 2_000_000
+
+
 def cocones_into(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
                  max_cocones: int | None = None,
-                 rng: random.Random | None = None,
-                 max_nodes: int = 2_000_000) -> list[Cocone]:
+                 rng: random.Random | None = None) -> list[Cocone]:
     """All cocones over the subalgebra diagram of A into B, assembled from
     compatible families of morphisms on the maximal blocks.  When
     ``max_cocones`` is given and fewer cocones are wanted than exist, a
@@ -278,14 +282,13 @@ def cocones_into(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra,
     InvalidAlgebraError), and the list is ``enumerate_morphisms`` over the
     block's carrier, in its order.  Each function between atom sets behind a
     list is one node, as is each compatible family of maps on a prefix of
-    the blocks; past ``max_nodes``, counted apart for each list and for the
-    assembly, it raises SearchCutoffError."""
-    return _cocones(_maximal_blocks(A), B, max_cocones, rng, max_nodes)
+    the blocks; past ``_COCONE_MAX_NODES``, counted apart for each list and
+    for the assembly, it raises SearchCutoffError."""
+    return _cocones(_maximal_blocks(A), B, max_cocones, rng)
 
 
 def _cocones(blocks: Sequence[_Block], B: PartialBooleanAlgebra,
-             max_cocones: int | None, rng: random.Random | None,
-             max_nodes: int) -> list[Cocone]:
+             max_cocones: int | None, rng: random.Random | None) -> list[Cocone]:
     """``cocones_into`` over the ``blocks`` of ``_maximal_blocks(A)``."""
     # with sampling requested, enumerate a deterministic prefix several times
     # larger than the sample and draw from it; unbounded enumeration of the
@@ -293,7 +296,7 @@ def _cocones(blocks: Sequence[_Block], B: PartialBooleanAlgebra,
     hard_cap = None
     if max_cocones is not None:
         hard_cap = max_cocones if rng is None else max(64 * max_cocones, 512)
-    found = _assemble(blocks, B, hard_cap, max_nodes)
+    found = _assemble(blocks, B, hard_cap, _COCONE_MAX_NODES)
     if max_cocones is not None and rng is not None and len(found) > max_cocones:
         found = rng.sample(found, max_cocones)
     embeds = [embed for embed, _, _ in blocks]
@@ -320,12 +323,19 @@ class ColimitReport:
         return all(e.mediates and e.is_morphism and e.unique for e in self.entries)
 
 
+# Node budget of the unconstrained morphism search behind verify_colimit's
+# "filtered-enumeration" route, decided by the search's exact frontier count.
+_FULL_ENUMERATION_MAX_NODES = 200_000
+
+# verify_colimit's default targets, built once rather than on every call
+_BOOLEAN_TARGETS = (boolean_algebra(1), boolean_algebra(2), boolean_algebra(3))
+
+
 def verify_colimit(A: PartialBooleanAlgebra,
-                   targets: Sequence[PartialBooleanAlgebra] | None = None,
+                   targets: Sequence[PartialBooleanAlgebra] = _BOOLEAN_TARGETS,
                    max_cocones_per_target: int = 8,
                    seed: int = 0,
-                   max_apex: int = 16,
-                   full_enumeration_budget: int = 200_000) -> ColimitReport:
+                   max_apex: int = 16) -> ColimitReport:
     """Check that A is the colimit of its Boolean subalgebra diagram against
     generated trial cocones: the mediating morphism exists, is a morphism,
     satisfies the cocone equations, and is the only morphism that does.
@@ -334,14 +344,13 @@ def verify_colimit(A: PartialBooleanAlgebra,
     cocone's block maps agree where the blocks overlap and flatten to a
     morphism.  The maximal blocks cover A, so those maps pin the map
     everywhere and it is the only candidate ("constrained-search").  When
-    the unconstrained morphism search out of A fits the node budget (a
-    frontier count of its exact node total decides this once per target),
+    the unconstrained morphism search out of A fits
+    ``_FULL_ENUMERATION_MAX_NODES`` (a frontier count of its exact node
+    total decides this once per target),
     the mediating map is also walked through that search's compiled
     clauses: an independent check that the search would list it
     ("filtered-enumeration").  Apexes larger than ``max_apex`` are rejected.
     """
-    if targets is None:
-        targets = [boolean_algebra(1), boolean_algebra(2), boolean_algebra(3)]
     for B in targets:
         if B.n > max_apex:
             raise DomainError(f"apex of size {B.n} exceeds max_apex={max_apex}")
@@ -349,9 +358,9 @@ def verify_colimit(A: PartialBooleanAlgebra,
     rng = random.Random(seed)
     entries: list[ColimitEntry] = []
     for B in targets:
-        cocones = _cocones(blocks, B, max_cocones_per_target, rng, 2_000_000)
+        cocones = _cocones(blocks, B, max_cocones_per_target, rng)
         clauses = _compile_clauses(A, B)
-        counted = _count_morphisms(clauses, full_enumeration_budget)
+        counted = _count_morphisms(clauses, _FULL_ENUMERATION_MAX_NODES)
         route = "constrained-search" if counted is None else "filtered-enumeration"
         for ci, c in enumerate(cocones):
             m = mediating_morphism(A, c)

@@ -35,8 +35,8 @@ CABELLO_RAYS: tuple[tuple[int, int, int, int], ...] = (
 )
 
 # the 24-ray Peres set in dimension 4; its bases overlap in up to two rays,
-# so it is no Greechie-style block hypergraph, but as contexts it closes to
-# a 140-element Kochen-Specker carrier (kept as ray-file data)
+# and as contexts it closes to a 140-element Kochen-Specker carrier (kept as
+# ray-file data)
 PERES_RAYS: tuple[tuple[int, int, int, int], ...] = (
     (2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2),
     (1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1),
@@ -94,6 +94,9 @@ def _random_hypergraph_algebra(rng: random.Random) -> PartialBooleanAlgebra | No
     for _ in range(rng.randint(2, 3)):
         size = rng.choice([2, 3])
         blocks.append(rng.sample(atoms, size))
+    # Greechie diagrams only: two blocks share at most one atom
+    if any(len(set(b1) & set(b2)) > 1 for b1, b2 in itertools.combinations(blocks, 2)):
+        return None
     try:
         h = block_hypergraph(blocks)
         A = paste_blocks(h)
@@ -149,11 +152,11 @@ def generated_corpus(count: int = 50, max_size: int = 24,
     return out
 
 
-def small_corpus(max_size: int = 8) -> list[PartialBooleanAlgebra]:
-    """The bundled small carriers used for exhaustive morphism sweeps."""
-    algs = [boolean_algebra(1), boolean_algebra(2), boolean_algebra(3),
+def small_corpus() -> list[PartialBooleanAlgebra]:
+    """The bundled small carriers used for exhaustive morphism sweeps, each
+    of at most 8 elements."""
+    return [boolean_algebra(1), boolean_algebra(2), boolean_algebra(3),
             mo2_algebra(), mo3_algebra()]
-    return [A for A in algs if A.n <= max_size]
 
 
 def composable_morphism_pairs(limit: int = 20

@@ -41,6 +41,8 @@ from .poset import _set_partitions, boolean_subalgebras
 
 STRUCT_TOL = 1e-9
 DERIVED_TOL = 1e-8
+# relative eigenvalue gap that separates two joint eigenspaces
+CLUSTER_TOL = 1e-6
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -121,8 +123,7 @@ def _orthonormal_extend(basis: list[np.ndarray], m: np.ndarray,
     return True
 
 
-def _eigenspace_refinement(sa_mats: Sequence[np.ndarray], dim: int,
-                           cluster_tol: float = 1e-6) -> list[np.ndarray]:
+def _eigenspace_refinement(sa_mats: Sequence[np.ndarray], dim: int) -> list[np.ndarray]:
     """Joint eigenspaces of a commuting self-adjoint family, as orthonormal
     column frames, deterministically ordered by ascending eigenvalue along
     each refinement step."""
@@ -135,7 +136,7 @@ def _eigenspace_refinement(sa_mats: Sequence[np.ndarray], dim: int,
             w, U = np.linalg.eigh((sub + sub.conj().T) / 2)
             start = 0
             for i in range(1, len(w) + 1):
-                if i == len(w) or w[i] - w[i - 1] > cluster_tol * scale:
+                if i == len(w) or w[i] - w[i - 1] > CLUSTER_TOL * scale:
                     nxt.append(V @ U[:, start:i])
                     start = i
         spaces = nxt

@@ -99,13 +99,18 @@ class SubalgebraPoset:
                 if i != j and row & cols[j] == (1 << i) | (1 << j)]
 
 
+# Member budget of boolean_subalgebras
+_SUBALGEBRA_MAX_MEMBERS = 100_000
+
+
 @lru_cache(maxsize=None)
-def boolean_subalgebras(A: PartialBooleanAlgebra,
-                        max_members: int = 100_000) -> SubalgebraPoset:
+def boolean_subalgebras(A: PartialBooleanAlgebra) -> SubalgebraPoset:
     """Enumerate every total Boolean subalgebra of A, deduplicated and
     canonically ordered, together with the inclusion order.  Raises
     InvalidAlgebraError, naming the block, unless every maximal clique of A
-    is the Boolean algebra on its atoms."""
+    is the Boolean algebra on its atoms, and SearchCutoffError past
+    ``_SUBALGEBRA_MAX_MEMBERS`` members."""
+    max_members = _SUBALGEBRA_MAX_MEMBERS
     found: set[frozenset[int]] = set()
     for clique in maximal_cliques(A):
         atoms, _, element = _boolean_block(A, _bit_positions(clique))

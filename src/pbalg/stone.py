@@ -76,9 +76,12 @@ def restriction_map(A: PartialBooleanAlgebra, C: frozenset[int],
 # The limit of spectra
 # ---------------------------------------------------------------------------
 
+# Node budget of stone_limit's assembly into boolean_algebra(1)
+_STONE_MAX_NODES = 5_000_000
+
+
 def stone_limit(A: PartialBooleanAlgebra,
-                max_solutions: int | None = None,
-                max_nodes: int = 5_000_000) -> tuple[tuple[int, ...], ...]:
+                max_solutions: int | None = None) -> tuple[tuple[int, ...], ...]:
     """All points of the limit of spectra, each as its two-valued valuation
     (one 0/1 entry per element), in ascending order.  The point at a member
     is the member's atom valued 1.
@@ -86,13 +89,13 @@ def stone_limit(A: PartialBooleanAlgebra,
     A two-valued state is a morphism into ``boolean_algebra(1)``, that is a
     cocone into it, so the points are the cocone assembly's families on the
     maximal blocks (one true atom per block, consistent on shared
-    elements), with its nodes: past ``max_nodes`` it raises
+    elements), with its nodes: past ``_STONE_MAX_NODES`` it raises
     SearchCutoffError, as ``cocones_into`` does.  With ``max_solutions`` it
     stops after that many points (the first in assembly order), so
     ``max_solutions=1`` decides emptiness.
     """
     blocks = _maximal_blocks(A)
-    found = _assemble(blocks, boolean_algebra(1), max_solutions, max_nodes)
+    found = _assemble(blocks, boolean_algebra(1), max_solutions, _STONE_MAX_NODES)
     # a degenerate carrier (0 = 1) has a block without atoms, hence no point
     return tuple(sorted(tuple(_flatten(blocks, maps, A.n)) for maps in found))
 

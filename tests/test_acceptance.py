@@ -179,7 +179,7 @@ def test_criterion_06_tensor():
     assert is_isomorphic(T22.algebra, boolean_algebra(4))
     # factorization criterion, exhaustive over all morphism pairs between
     # small corpus algebras
-    algs = small_corpus(max_size=8)
+    algs = small_corpus()
     pairs = positives = 0
     for A, B in itertools.product(algs, repeat=2):
         T = tensor_product(A, B)
@@ -201,7 +201,7 @@ def test_criterion_07_bohrification():
     assert len(first) == len(second) == 17
     assert first == second
 
-    algs = small_corpus(max_size=8)
+    algs = small_corpus()
     frames = [BohrFrame(A) for A in algs]
     elements = [fr.elements() for fr in frames]
     for fr, elems in zip(frames, elements):
@@ -254,7 +254,7 @@ def test_criterion_08_reflection_equivalence():
     # formulation in tests/helpers.py is computed independently, and the
     # two must agree on every morphism between small corpus algebras and on
     # the paper's map, which does not reflect
-    algs = small_corpus(max_size=8)
+    algs = small_corpus()
     maps = [f for A, B in itertools.product(algs, repeat=2)
             for f in enumerate_morphisms(A, B)]
     maps.append(paper_counterexample_morphism())

@@ -257,17 +257,18 @@ def test_cocones_match_product_oracle(mo2):
     pytest.param("mo3", "mo3", None, 585, id="mo3-mo3"),
     pytest.param("mo3", "mo3", 3, 25, id="mo3-mo3-first3"),
 ])
-def test_cocone_budget_is_exact(mo2, mo3, dom, cod, cap, nodes):
+def test_cocone_budget_is_exact(monkeypatch, mo2, mo3, dom, cod, cap, nodes):
     # one node per compatible prefix, root and complete cocones included;
     # once ``cap`` cocones are found, each prefix still pending counts too
     algs = {"mo2": mo2, "mo3": mo3, "bool2": boolean_algebra(2)}
     A, B = algs[dom], algs[cod]
     P = boolean_subalgebras(A)
     expected = [member_legs(P, c) for c in cocones_into(A, B, max_cocones=cap)]
-    assert [member_legs(P, c) for c in
-            cocones_into(A, B, max_cocones=cap, max_nodes=nodes)] == expected
+    monkeypatch.setattr(colimit, "_COCONE_MAX_NODES", nodes)
+    assert [member_legs(P, c) for c in cocones_into(A, B, max_cocones=cap)] == expected
+    monkeypatch.setattr(colimit, "_COCONE_MAX_NODES", nodes - 1)
     with pytest.raises(SearchCutoffError) as info:
-        cocones_into(A, B, max_cocones=cap, max_nodes=nodes - 1)
+        cocones_into(A, B, max_cocones=cap)
     assert info.value.limit == nodes - 1
 
 
@@ -353,7 +354,7 @@ def test_non_boolean_block_in_either_carrier_is_rejected(mo2):
         cocones_into(mo2, bad_b)
 
 
-def test_block_hom_lists_respect_max_nodes(mo3):
+def test_block_hom_lists_respect_max_nodes(monkeypatch, mo3):
     # one node per function between atom sets, over every block of B,
     # counted apart from the assembly: bool3's block into bool3 and the
     # three blocks of mo3 takes 27 + 3 * 9 nodes; the three maps onto
@@ -365,9 +366,11 @@ def test_block_hom_lists_respect_max_nodes(mo3):
         colimit._block_homs(k, subsets, target, 53)
     assert info.value.limit == 53
     # bool1 into mo3: three nodes for its one map, and two assembly nodes
-    assert len(cocones_into(boolean_algebra(1), mo3, max_nodes=3)) == 1
+    monkeypatch.setattr(colimit, "_COCONE_MAX_NODES", 3)
+    assert len(cocones_into(boolean_algebra(1), mo3)) == 1
+    monkeypatch.setattr(colimit, "_COCONE_MAX_NODES", 2)
     with pytest.raises(SearchCutoffError, match="morphism enumeration"):
-        cocones_into(boolean_algebra(1), mo3, max_nodes=2)
+        cocones_into(boolean_algebra(1), mo3)
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +394,26 @@ def test_verify_uses_filtered_enumeration_where_feasible(mo2):
     assert all(e.uniqueness_route == "filtered-enumeration" for e in rep.entries)
 
 
-def test_verify_constrained_route_without_enumeration_budget(mo2):
-    rep = verify_colimit(mo2, full_enumeration_budget=0)
+def test_verify_constrained_route_without_enumeration_budget(monkeypatch, mo2):
+    monkeypatch.setattr(colimit, "_FULL_ENUMERATION_MAX_NODES", 0)
+    rep = verify_colimit(mo2)
     assert rep.ok
     assert all(e.uniqueness_route == "constrained-search" for e in rep.entries)
     assert rep.cocones_checked == verify_colimit(mo2).cocones_checked
+
+
+@pytest.mark.parametrize("cod, nodes", [(1, 14), (2, 42), (3, 146)])
+def test_verify_filtered_route_budget_is_exact(monkeypatch, mo2, cod, nodes):
+    # the route is filtered exactly when the search out of mo2 fits the
+    # budget: its node total is that of test_enumerate_morphisms_budget_is_exact
+    B = boolean_algebra(cod)
+    monkeypatch.setattr(colimit, "_FULL_ENUMERATION_MAX_NODES", nodes)
+    fitted = verify_colimit(mo2, targets=[B])
+    monkeypatch.setattr(colimit, "_FULL_ENUMERATION_MAX_NODES", nodes - 1)
+    cut = verify_colimit(mo2, targets=[B])
+    assert fitted.ok and cut.ok and fitted.cocones_checked == cut.cocones_checked > 0
+    assert {e.uniqueness_route for e in fitted.entries} == {"filtered-enumeration"}
+    assert {e.uniqueness_route for e in cut.entries} == {"constrained-search"}
 
 
 def test_verify_filtered_cross_check_can_fail(mo2, monkeypatch):

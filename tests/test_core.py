@@ -513,12 +513,36 @@ def test_paste_stops_past_slot_cutoff():
 
 
 def test_hypergraph_invariants():
-    with pytest.raises(StructuralError, match="share more than one"):
-        block_hypergraph([["a", "b", "c"], ["a", "b", "d"]])
+    # two blocks may share more than one atom: {a, b} is one atom set of
+    # both, so its complements c and d are pasted together, into bool3
+    A = paste_blocks(block_hypergraph([["a", "b", "c"], ["a", "b", "d"]]))
+    assert A.labels == ("0", "1", "a", "b", "c", "~c", "~b", "~a")
+    assert validate(A).ok and find_isomorphism(A, boolean_algebra(3)) is not None
     with pytest.raises(StructuralError, match="contained"):
         block_hypergraph([["a", "b", "c"], ["a", "b"]])
     with pytest.raises(StructuralError, match="fewer than 2"):
         block_hypergraph([["a"]])
+
+
+def test_pastings_of_blocks_sharing_atoms_validate_or_are_rejected():
+    # seeded hypergraphs with two blocks sharing two or more atoms: the
+    # pasting is a valid carrier or InvalidAlgebraError, never another error
+    rng = random.Random(5)
+    outcomes = collections.Counter()
+    for _ in range(1000):
+        atoms = [f"a{i}" for i in range(rng.randint(4, 7))]
+        blocks = [rng.sample(atoms, rng.choice([2, 3, 4])) for _ in range(rng.randint(2, 4))]
+        if not any(len(set(b) & set(c)) > 1 for b, c in itertools.combinations(blocks, 2)):
+            continue
+        try:
+            h = block_hypergraph(blocks)
+        except StructuralError:
+            continue
+        try:
+            outcomes[validate(paste_blocks(h)).ok] += 1
+        except InvalidAlgebraError:
+            outcomes["rejected"] += 1
+    assert outcomes[True] > 50 and outcomes["rejected"] > 50 and not outcomes[False]
 
 
 # ---------------------------------------------------------------------------
@@ -791,10 +815,11 @@ def test_enumerate_morphisms_deterministic_order(mo2):
     assert maps == sorted(maps)
 
 
-def test_enumerate_morphisms_cutoff():
+def test_enumerate_morphisms_cutoff(monkeypatch):
     big = from_orthomodular(mo_lattice(11))
+    monkeypatch.setattr(core, "_HOM_MAX_NODES", 1000)
     with pytest.raises(SearchCutoffError, match="search too large"):
-        enumerate_morphisms(big, boolean_algebra(3), max_nodes=1000)
+        enumerate_morphisms(big, boolean_algebra(3))
 
 
 def test_enumerate_morphisms_deep_carrier():
@@ -809,15 +834,18 @@ def test_enumerate_morphisms_deep_carrier():
     pytest.param(3, 2, 170, 64, id="mo3-bool2"),
     pytest.param(None, 3, 397, 27, id="bool3-bool3"),
 ])
-def test_enumerate_morphisms_budget_is_exact(dom, cod, nodes, homs):
+def test_enumerate_morphisms_budget_is_exact(monkeypatch, dom, cod, nodes, homs):
     # nodes: one per candidate a trial-by-trial search would try (1 at a
     # forced position, B.n elsewhere); verify_colimit's route choice
     # depends on this count
     A = boolean_algebra(3) if dom is None else from_orthomodular(mo_lattice(dom))
     B = boolean_algebra(cod)
-    assert len(enumerate_morphisms(A, B, max_nodes=nodes)) == homs
-    with pytest.raises(SearchCutoffError):
-        enumerate_morphisms(A, B, max_nodes=nodes - 1)
+    monkeypatch.setattr(core, "_HOM_MAX_NODES", nodes)
+    assert len(enumerate_morphisms(A, B)) == homs
+    monkeypatch.setattr(core, "_HOM_MAX_NODES", nodes - 1)
+    with pytest.raises(SearchCutoffError) as info:
+        enumerate_morphisms(A, B)
+    assert info.value.limit == nodes - 1
     # the frontier count reaches the same total and Hom size without a map
     clauses = _compile_clauses(A, B)
     assert _count_morphisms(clauses, nodes) == (nodes, homs)
@@ -829,14 +857,15 @@ COUNT_TARGETS = [boolean_algebra(1), boolean_algebra(2), boolean_algebra(3),
                  from_orthomodular(mo_lattice(2)), from_orthomodular(mo_lattice(3))]
 
 
-def _count_matches_search(A, B, budget):
+def _count_matches_search(monkeypatch, A, B, budget):
     """The frontier count of A -> B is the search's exact node total and
     Hom size, at the boundary of both budgets; past ``budget`` both give
     up.  Returns whether the pair fitted."""
     clauses = _compile_clauses(A, B)
     counted = _count_morphisms(clauses, budget)
+    monkeypatch.setattr(core, "_HOM_MAX_NODES", budget)
     try:
-        homs = enumerate_morphisms(A, B, max_nodes=budget)
+        homs = enumerate_morphisms(A, B)
     except SearchCutoffError:
         assert counted is None
         return False
@@ -844,18 +873,20 @@ def _count_matches_search(A, B, budget):
     assert size == len(homs)
     assert _count_morphisms(clauses, nodes) == counted
     assert _count_morphisms(clauses, nodes - 1) is None
-    assert len(enumerate_morphisms(A, B, max_nodes=nodes)) == size
+    monkeypatch.setattr(core, "_HOM_MAX_NODES", nodes)
+    assert len(enumerate_morphisms(A, B)) == size
+    monkeypatch.setattr(core, "_HOM_MAX_NODES", nodes - 1)
     with pytest.raises(SearchCutoffError):
-        enumerate_morphisms(A, B, max_nodes=nodes - 1)
+        enumerate_morphisms(A, B)
     return True
 
 
 @pytest.mark.parametrize("B", COUNT_TARGETS,
                          ids=["bool1", "bool2", "bool3", "mo2", "mo3"])
-def test_count_morphisms_matches_search_on_corpus(B):
+def test_count_morphisms_matches_search_on_corpus(monkeypatch, B):
     # every corpus pair whose search fits 50,000 nodes is compared in full;
     # the rest must give up at that budget on both sides
-    fitted = [_count_matches_search(A, B, 50_000)
+    fitted = [_count_matches_search(monkeypatch, A, B, 50_000)
               for A in small_corpus() + generated_corpus(50, 24)]
     assert sum(fitted) >= len(fitted) // 2
 

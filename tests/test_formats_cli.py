@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from pbalg.core import boolean_algebra, is_isomorphic, maximal_cliques, validate
+from pbalg.core import boolean_algebra, is_isomorphic, maximal_cliques, paste_blocks, validate
 from pbalg.corpus import generated_corpus, mo2_algebra, small_corpus
 from pbalg.data import corpus_names, corpus_path
 from pbalg.errors import FormatError
@@ -128,8 +128,8 @@ def test_blocks_roundtrip():
 
 
 def test_blocks_invariant_errors_are_format_errors():
-    with pytest.raises(FormatError):
-        parse_blocks_text("blocks 1\na b c\na b d\n")
+    with pytest.raises(FormatError, match="contained"):
+        parse_blocks_text("blocks 1\na b c\na b\n")
 
 
 def test_rays_roundtrip():
@@ -675,6 +675,21 @@ def test_ks_rays_emits_blocks():
     results = json.loads(out)["results"]
     assert len(results["blocks"]) == 9
     assert results["elements"] == 140
+
+
+def test_peres24_bases_as_blocks_are_kochen_specker(tmp_path):
+    # Peres-24's bases share pairs of rays; pasted from a .blocks file they
+    # give the projection closure's carrier, and no valuation
+    _, out = run_cli("ks-rays", corpus_path("peres24.rays"))
+    results = json.loads(out)["results"]
+    path = tmp_path / "peres24.blocks"
+    path.write_text("blocks 1\n" + "".join(" ".join(b) + "\n" for b in results["blocks"]))
+    code, out = run_cli("ks-search", str(path))
+    assert code == 0
+    ks = json.loads(out)["results"]
+    assert (ks["elements"], ks["limit_points"], ks["is_kochen_specker"]) == (140, 0, True)
+    pasted = paste_blocks(parse_blocks_text(path.read_text()))
+    assert is_isomorphic(pasted, parse_algebra_text(results["algebra"]))
 
 
 def test_out_flag(tmp_path):

@@ -14,6 +14,7 @@ from helpers import (
     report_text,
     structure_report_cubic,
 )
+from pbalg import poset
 from pbalg.core import (
     block_hypergraph,
     boolean_algebra,
@@ -33,6 +34,7 @@ from pbalg.poset import (
     structure_report,
 )
 from pbalg.poset import _poset_isomorphic, _set_partitions
+from pbalg.errors import SearchCutoffError
 
 
 @pytest.fixture(scope="module")
@@ -248,3 +250,15 @@ def test_poset_reports_match_cubic_definitions(A):
     assert P.hasse_edges() == hasse_edges_cubic(P)
     assert structure_report(P) == structure_report_cubic(P)
 
+
+def test_subalgebra_member_cap_is_exact(monkeypatch):
+    # bool3's 5 members: {0, 1}, the three four-element ones and bool3; the
+    # cache is cleared so the capped enumeration runs
+    A = boolean_algebra(3)
+    boolean_subalgebras.cache_clear()
+    monkeypatch.setattr(poset, "_SUBALGEBRA_MAX_MEMBERS", 4)
+    with pytest.raises(SearchCutoffError, match="exceeded 4 members") as info:
+        boolean_subalgebras(A)
+    assert info.value.limit == 4
+    monkeypatch.setattr(poset, "_SUBALGEBRA_MAX_MEMBERS", 5)
+    assert len(boolean_subalgebras(A).members) == 5

@@ -193,7 +193,7 @@ def _peres33_rays() -> list[tuple[float, float, float]]:
 
 @pytest.mark.parametrize("name, nodes", [
     ("cabello18", 467), ("peres33", 1939), ("mo3", 15)])
-def test_stone_limit_budget_is_exact(ks18, name, nodes):
+def test_stone_limit_budget_is_exact(monkeypatch, ks18, name, nodes):
     # one node per compatible prefix of the block assembly into bool1: the
     # Cabello-18 closure is refuted in 467, the Peres-33 closure in 1939,
     # and mo3's eight points take 15
@@ -201,9 +201,11 @@ def test_stone_limit_budget_is_exact(ks18, name, nodes):
          "peres33": lambda: rays_to_pba(_peres33_rays(), 3).algebra,
          "mo3": lambda: from_orthomodular(mo_lattice(3))}[name]()
     expected = stone_limit(A)
-    assert stone_limit(A, max_nodes=nodes) == expected
+    monkeypatch.setattr(stone, "_STONE_MAX_NODES", nodes)
+    assert stone_limit(A) == expected
+    monkeypatch.setattr(stone, "_STONE_MAX_NODES", nodes - 1)
     with pytest.raises(SearchCutoffError) as info:
-        stone_limit(A, max_nodes=nodes - 1)
+        stone_limit(A)
     assert info.value.limit == nodes - 1
 
 
