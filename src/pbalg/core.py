@@ -615,7 +615,9 @@ def validate(A: PartialBooleanAlgebra) -> ValidationReport:
 @dataclass(frozen=True)
 class BlockHypergraph:
     """Atom labels plus blocks, each block the atom set of a maximal Boolean
-    subalgebra.  Standard Greechie-diagram style input."""
+    subalgebra.  Two blocks may share any number of atoms; whether the
+    pasting is a partial Boolean algebra is decided by :func:`validate`
+    on the pasted carrier."""
 
     atoms: tuple[str, ...]
     blocks: tuple[frozenset[str], ...]
@@ -661,7 +663,9 @@ def paste_blocks(h: BlockHypergraph) -> PartialBooleanAlgebra:
     complementation.  Two classes are commeasurable iff they have
     representatives in a single block.  The output is certified with
     :func:`validate`; pathological pastings are rejected there rather than by
-    input-side conditions.  Past ``_PASTE_MAX_SLOTS`` pairs it raises
+    input-side conditions.  Atoms that the equivalence forces equal (two
+    blocks sharing all atoms but one each) become one element, labelled by
+    the smallest of their labels.  Past ``_PASTE_MAX_SLOTS`` pairs it raises
     SearchCutoffError.
     """
     slots = sum((1 << len(blk)) - 2 for blk in h.blocks)

@@ -86,8 +86,9 @@ def chain_of_triangles(k: int) -> PartialBooleanAlgebra:
 
 
 def _random_hypergraph_algebra(rng: random.Random) -> PartialBooleanAlgebra | None:
-    """One attempt at a random pasted algebra; None when the pasting is
-    rejected (invalid hypergraph or invalid carrier)."""
+    """One attempt at a random pasted algebra; None when the draw is not a
+    Greechie diagram (two blocks share more than one atom) or the pasting
+    is rejected (invalid hypergraph or invalid carrier)."""
     atom_count = rng.randint(4, 8)
     atoms = [f"a{i}" for i in range(atom_count)]
     blocks: list[list[str]] = []

@@ -395,11 +395,13 @@ def test_verify_uses_filtered_enumeration_where_feasible(mo2):
 
 
 def test_verify_constrained_route_without_enumeration_budget(monkeypatch, mo2):
+    filtered = verify_colimit(mo2)
+    assert {e.uniqueness_route for e in filtered.entries} == {"filtered-enumeration"}
     monkeypatch.setattr(colimit, "_FULL_ENUMERATION_MAX_NODES", 0)
     rep = verify_colimit(mo2)
     assert rep.ok
     assert all(e.uniqueness_route == "constrained-search" for e in rep.entries)
-    assert rep.cocones_checked == verify_colimit(mo2).cocones_checked
+    assert rep.cocones_checked == filtered.cocones_checked
 
 
 @pytest.mark.parametrize("cod, nodes", [(1, 14), (2, 42), (3, 146)])
