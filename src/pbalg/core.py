@@ -70,6 +70,9 @@ class PartialBooleanAlgebra:
         comm:   commeasurability relation; ``comm[a]`` is the bitmask of all
                 b with a ⊙ b.
         meet:   partial binary table; ``meet[a][b]`` is -1 when undefined.
+                A tuple of row tuples up to ``_SMALL_MAX`` elements, above
+                it one ``_rowbands.Rows`` over an int32 array, whatever the
+                constructor was given.
         join:   partial binary table, same convention.
         labels: one display name per element (whitespace-free).
     """
@@ -101,9 +104,14 @@ class PartialBooleanAlgebra:
         for a, row in enumerate(self.comm):
             if row & ~full:
                 raise StructuralError(f"comm[{a}] references elements beyond {n - 1}")
+        large = n > _SMALL_MAX
+        if large:
+            from ._rowbands import Rows, as_rows
         for name, table in (("meet", self.meet), ("join", self.join)):
             if len(table) != n:
                 raise StructuralError(f"{name} table has {len(table)} rows, expected {n}")
+            if large and isinstance(table, Rows) and table.in_range(n):
+                continue  # an array in range passes whole
             for a, row in enumerate(table):
                 if len(row) != n:
                     raise StructuralError(f"{name}[{a}] has {len(row)} entries, expected {n}")
@@ -114,6 +122,11 @@ class PartialBooleanAlgebra:
                         raise StructuralError(f"{name}[{a}][{b}] = {v} out of range")
         if len(self.labels) != n:
             raise StructuralError(f"labels has {len(self.labels)} entries, expected {n}")
+        if large:
+            # one table type per size class, whoever built the fields
+            meet, join = as_rows(n, self.meet, self.join)
+            object.__setattr__(self, "meet", meet)
+            object.__setattr__(self, "join", join)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -255,18 +268,18 @@ def make_pba(
 
 
 def block_tables(n: int, blocks: Sequence[Sequence[int]]
-                 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...],
-                            tuple[tuple[int, ...], ...], tuple | None]:
+                 ) -> tuple[tuple[int, ...], tuple[int, ...], Sequence[tuple[int, ...]],
+                            Sequence[tuple[int, ...]]]:
     """neg, comm, meet and join of the carrier on n elements fixed by its
     Boolean ``blocks``, each given as its element per atom-set mask,
     ``local[mask]``: row ``local[a]`` holds ``local[a & b]`` and
     ``local[a | b]`` at ``local[b]``, and ``neg[local[a]]`` is
-    ``local[full ^ a]``; then the carrier's ``_rowbands.arrays``, or None.
-    The blocks must cover every element, so that neg is total and every
-    cell is in range.  A cell written twice with different values raises
-    AmalgamError naming negation, meet or join.  Above _SMALL_MAX elements
-    the cells are scattered in numpy arrays, which are returned too;
-    smaller carriers are written cell by cell and never import numpy."""
+    ``local[full ^ a]``.  The blocks must cover every element, so that neg
+    is total and every cell is in range.  A cell written twice with
+    different values raises AmalgamError naming negation, meet or join.
+    Above _SMALL_MAX elements the cells are scattered in numpy arrays,
+    which become the tables as ``_rowbands.Rows``; smaller carriers are
+    written cell by cell into tuple rows and never import numpy."""
     comm = [0] * n
     for local in blocks:
         span = sum(1 << e for e in set(local))
@@ -274,8 +287,8 @@ def block_tables(n: int, blocks: Sequence[Sequence[int]]
             comm[e] |= span
     if n > _SMALL_MAX:
         from ._rowbands import scatter_tables
-        neg, meet, join, arrays = scatter_tables(n, blocks)
-        return neg, tuple(comm), meet, join, arrays
+        neg, meet, join = scatter_tables(n, blocks)
+        return neg, tuple(comm), meet, join
     # one cell at a time: each block's negation, then its rows in mask
     # order, meet before join
     neg = [UNDEF] * n
@@ -295,20 +308,16 @@ def block_tables(n: int, blocks: Sequence[Sequence[int]]
                         if row[f] != UNDEF:
                             raise AmalgamError(f"{name} ill-defined on the carrier")
                         row[f] = v
-    return tuple(neg), tuple(comm), tuple(map(tuple, meet)), tuple(map(tuple, join)), None
+    return tuple(neg), tuple(comm), tuple(map(tuple, meet)), tuple(map(tuple, join))
 
 
 def _block_algebra(n: int, blocks: Sequence[Sequence[int]], zero: int, one: int,
                    labels: tuple[str, ...]) -> PartialBooleanAlgebra:
     """The carrier whose tables ``block_tables`` writes from ``blocks``,
-    built by ``_trusted_algebra``; above _SMALL_MAX it keeps the writer's
-    arrays for the row tests.  The caller still validates it."""
-    neg, comm, meet, join, arrays = block_tables(n, blocks)
-    A = _trusted_algebra(n=n, zero=zero, one=one, neg=neg, comm=comm,
-                         meet=meet, join=join, labels=labels)
-    if arrays is not None:
-        A.__dict__[_ARRAYS] = arrays
-    return A
+    built by ``_trusted_algebra``.  The caller still validates it."""
+    neg, comm, meet, join = block_tables(n, blocks)
+    return _trusted_algebra(n=n, zero=zero, one=one, neg=neg, comm=comm,
+                            meet=meet, join=join, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -433,13 +442,10 @@ class ValidationReport:
 
 # Carriers and blocks of more than this many elements pick the rows to walk
 # in numpy, in pbalg._rowbands, and have their tables written by numpy
-# scatters; smaller ones keep the pure-Python tests and never import numpy.
-# The size only chooses how rows are tested: every report is the same.
+# scatters and held as _rowbands.Rows; smaller ones keep tuple rows and the
+# pure-Python tests and never import numpy.  The size only chooses how
+# tables are held and rows are tested: every report is the same.
 _SMALL_MAX = 32
-
-# The key in a carrier's __dict__ of the numpy copy of its tables that its
-# writer kept or _rowbands.arrays converted: see _rowbands.arrays.
-_ARRAYS = "_arrays"
 
 
 def _gather(elems: list[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
@@ -465,8 +471,15 @@ def _decode_block(A: PartialBooleanAlgebra, elems: list[int]
     lab = A.labels
     meet, join = A.meet, A.join
     nonzero = [a for a in elems if a != A.zero]
-    atoms = [a for a in nonzero
-             if not any(b != a and meet[a][b] == b for b in nonzero)]
+    # above _SMALL_MAX the atoms are read off the array, so that only the
+    # rows of the atoms and of the rows named below are ever built
+    large = len(elems) > _SMALL_MAX
+    if large:
+        from ._rowbands import block_atoms, transport_rows
+        atoms = block_atoms(A, nonzero)
+    else:
+        atoms = [a for a in nonzero
+                 if not any(b != a and meet[a][b] == b for b in nonzero)]
     size = 1 << len(atoms)
     if len(elems) != size:
         return Violation("clique_not_boolean", tuple(elems[:3]),
@@ -494,8 +507,7 @@ def _decode_block(A: PartialBooleanAlgebra, elems: list[int]
     # the rows are walked cell by cell, and above _SMALL_MAX only those a
     # numpy test names, so the first bad cell and its report are the same
     rows: Iterable[int] = range(size)
-    if len(elems) > _SMALL_MAX:
-        from ._rowbands import transport_rows
+    if large:
         rows = transport_rows(A, elems, below)
     for p in rows:
         a, m = elems[p], below[p]
@@ -1385,13 +1397,14 @@ def _candidate_classes(sig_a: Sequence, sig_b: Sequence) -> list[int] | None:
 # takes 12 nodes (two crown orders refuted in tests/test_poset.py); the
 # largest on a workload takes 9 (T(bool2, bool5) against
 # boolean_algebra(10), on hom-sweep); a relabelled carrier with one
-# corrupted meet or join in tests/test_core.py takes 237.
+# corrupted meet or join in tests/test_core.py takes up to 1,026 (a
+# 64-element tensor with one corrupted join).
 _ISO_MAX_NODES = 5_000_000
 
 
 def _isomorphism_search(candidates: Sequence[int],
                         relations: Sequence[tuple[Sequence[int], Sequence[int]]],
-                        closure: Callable[[int, int, list[int], int],
+                        closure: Callable[[list[int], list[int], int],
                                           Iterable[tuple[int, int]]] | None = None,
                         ) -> list[int] | None:
     """A bijection f of 0..n-1 with f[a] in candidates[a] for every a and
@@ -1401,17 +1414,21 @@ def _isomorphism_search(candidates: Sequence[int],
     symmetric, so every pair is checked in both orders whichever of its
     elements is assigned first.
 
-    ``closure(a, b, f, done)``, if given, runs when a is assigned b, with
-    ``done`` the mask of elements assigned before a; it returns pairs
-    ``(x, y)`` that force f[x] == y (it may leave out pairs f already
+    ``closure(wave, f, done)``, if given, runs once per propagation wave:
+    ``wave`` lists the elements just assigned, f holds their images, and
+    ``done`` is the mask of elements assigned before the wave.  It returns
+    pairs ``(x, y)`` that force f[x] == y (it may leave out pairs f already
     satisfies), and a negative x or y is a contradiction.
 
     Injectivity is one mask of used images, so an element's candidates
     are ``masks[x] & ~used``; assigning a narrows the masks of the
     unassigned elements only through a relation cell that excludes some
     image (forward checking), and only the closure's pairs are visited
-    beyond that.  An element whose candidates narrow to one, or are forced
-    by the closure, is assigned in turn.  Before each decision a scan over
+    beyond that.  An element whose candidates narrow to one is assigned in
+    the same wave; once none is left, the closure runs on the wave, and the
+    elements it forces make the next wave.  Propagation reaches the same
+    fixpoint in any order, so a closure run per wave and one run per
+    assignment give the same decisions.  Before each decision a scan over
     the unassigned elements finds those injectivity alone has narrowed: no
     candidate left is a contradiction, one left is assigned in turn, and
     only when neither occurs does the search branch, on the element with
@@ -1434,56 +1451,61 @@ def _isomorphism_search(candidates: Sequence[int],
 
     def propagate(queue: list[int], masks: list[int], f: list[int], free: int,
                   used: int) -> tuple[int, int]:
-        """Assign the queued elements and everything they force; returns
-        the new free and used masks, free -1 on a contradiction."""
+        """Assign the queued elements and everything they force, a wave at
+        a time; returns the new free and used masks, free -1 on a
+        contradiction."""
         while queue:
-            a = queue.pop()
-            if f[a] >= 0:
-                continue
-            m = masks[a] & ~used
-            if not m:
-                return -1, used
-            b = m.bit_length() - 1
-            for rows_a, rows_b in relations:
-                if (rows_a[a] >> a & 1) != (rows_b[b] >> b & 1):
-                    return -1, used
-            f[a] = b
             done = full ^ free
-            free ^= 1 << a
-            used |= 1 << b
-            cells = [(free, full)]
-            for rows_a, rows_b in relations:
-                inside, row = rows_a[a], rows_b[b]
-                cells = [(part & side, keep & image)
-                         for part, keep in cells
-                         for side, image in ((inside, row), (~inside, ~row))
-                         if part & side]
-            for part, keep in cells:
-                if keep == full:
+            wave = []
+            while queue:
+                a = queue.pop()
+                if f[a] >= 0:
                     continue
-                for x in _bit_positions(part):
-                    old = masks[x]
-                    m = old & keep
-                    if m != old:
-                        masks[x] = m
-                        m &= ~used
-                        if not m:
-                            return -1, used
-                        if not m & (m - 1):
-                            queue.append(x)
-            if closure is not None:
-                for x, y in closure(a, b, f, done):
-                    if x < 0 or y < 0:
+                m = masks[a] & ~used
+                if not m:
+                    return -1, used
+                b = m.bit_length() - 1
+                for rows_a, rows_b in relations:
+                    if (rows_a[a] >> a & 1) != (rows_b[b] >> b & 1):
                         return -1, used
-                    if f[x] >= 0:
-                        if f[x] != y:
-                            return -1, used
+                f[a] = b
+                free ^= 1 << a
+                used |= 1 << b
+                wave.append(a)
+                cells = [(free, full)]
+                for rows_a, rows_b in relations:
+                    inside, row = rows_a[a], rows_b[b]
+                    cells = [(part & side, keep & image)
+                             for part, keep in cells
+                             for side, image in ((inside, row), (~inside, ~row))
+                             if part & side]
+                for part, keep in cells:
+                    if keep == full:
                         continue
-                    if not (masks[x] & ~used) >> y & 1:
+                    for x in _bit_positions(part):
+                        old = masks[x]
+                        m = old & keep
+                        if m != old:
+                            masks[x] = m
+                            m &= ~used
+                            if not m:
+                                return -1, used
+                            if not m & (m - 1):
+                                queue.append(x)
+            if closure is None or not wave:
+                continue
+            for x, y in closure(wave, f, done):
+                if x < 0 or y < 0:
+                    return -1, used
+                if f[x] >= 0:
+                    if f[x] != y:
                         return -1, used
-                    if masks[x] != 1 << y:
-                        masks[x] = 1 << y
-                        queue.append(x)
+                    continue
+                if not (masks[x] & ~used) >> y & 1:
+                    return -1, used
+                if masks[x] != 1 << y:
+                    masks[x] = 1 << y
+                    queue.append(x)
         return free, used
 
     if not all(candidates):
@@ -1595,48 +1617,61 @@ def find_isomorphism(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra) -> tupl
     if A.n != B.n:
         return None
     if A.n > _SMALL_MAX:
-        from ._rowbands import signatures
+        from ._rowbands import signatures, wave_closure
         candidates = _candidate_classes(signatures(A), signatures(B))
+        closure = wave_closure(A, B)
     else:
         candidates = _candidate_classes([_signature(A, a) for a in range(A.n)],
                                         [_signature(B, b) for b in range(B.n)])
+        closure = _element_closure(A, B)
     if candidates is None:
         return None
-    cols_a = _columns(A.comm)
-    meet_a, join_a, meet_b, join_b = A.meet, A.join, B.meet, B.join
-
-    def closure(a: int, b: int, f: list[int], done: int) -> list[tuple[int, int]]:
-        # the pairs check_morphism reads, p < q with A.comm_pair(p, q), are
-        # each met once, when the later of p and q is assigned: the assigned
-        # x < a with comm[x] bit a (column a) and x > a with comm[a] bit x.
-        # A pair whose meet or join already maps onto the images' meet or
-        # join forces nothing new and is left out ((m | y) < 0 iff m or y is
-        # UNDEF), and repeats of a forced pair are dropped at C speed.
-        forced = [(A.neg[a], B.neg[b])]
-        for x in _bit_positions(done & cols_a[a] & ((1 << a) - 1)):
-            fx = f[x]
-            m, y = meet_a[x][a], meet_b[fx][b]
-            if f[m] != y or (m | y) < 0:
-                forced.append((m, y))
-            m, y = join_a[x][a], join_b[fx][b]
-            if f[m] != y or (m | y) < 0:
-                forced.append((m, y))
-        row_meet, row_join, image_meet, image_join = meet_a[a], join_a[a], meet_b[b], join_b[b]
-        for x in _bit_positions(done & (A.comm[a] >> a + 1 << a + 1)):
-            fx = f[x]
-            m, y = row_meet[x], image_meet[fx]
-            if f[m] != y or (m | y) < 0:
-                forced.append((m, y))
-            m, y = row_join[x], image_join[fx]
-            if f[m] != y or (m | y) < 0:
-                forced.append((m, y))
-        return list(dict.fromkeys(forced))
-
     f = _isomorphism_search(candidates, [(A.comm, B.comm)], closure)
     if f is None:
         return None
     _certify_isomorphism(_trusted_morphism(A, B, tuple(f)))
     return tuple(f)
+
+
+def _element_closure(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra
+                     ) -> Callable[[list[int], list[int], int], list[tuple[int, int]]]:
+    """``find_isomorphism``'s closure up to _SMALL_MAX elements: a wave's
+    elements one at a time, each with the pairs check_morphism reads
+    (p < q with A.comm_pair(p, q)) whose later-assigned element it is."""
+    cols_a = _columns(A.comm)
+    meet_a, join_a, meet_b, join_b = A.meet, A.join, B.meet, B.join
+
+    def closure(wave: list[int], f: list[int], done: int) -> list[tuple[int, int]]:
+        # the pairs of a are the assigned x < a with comm[x] bit a (column
+        # a) and x > a with comm[a] bit x.  A pair whose meet or join
+        # already maps onto the images' meet or join forces nothing new and
+        # is left out ((m | y) < 0 iff m or y is UNDEF), and repeats of a
+        # forced pair are dropped at C speed.
+        forced = []
+        for a in wave:
+            b = f[a]
+            forced.append((A.neg[a], B.neg[b]))
+            for x in _bit_positions(done & cols_a[a] & ((1 << a) - 1)):
+                fx = f[x]
+                m, y = meet_a[x][a], meet_b[fx][b]
+                if f[m] != y or (m | y) < 0:
+                    forced.append((m, y))
+                m, y = join_a[x][a], join_b[fx][b]
+                if f[m] != y or (m | y) < 0:
+                    forced.append((m, y))
+            row_meet, row_join, image_meet, image_join = meet_a[a], join_a[a], meet_b[b], join_b[b]
+            for x in _bit_positions(done & (A.comm[a] >> a + 1 << a + 1)):
+                fx = f[x]
+                m, y = row_meet[x], image_meet[fx]
+                if f[m] != y or (m | y) < 0:
+                    forced.append((m, y))
+                m, y = row_join[x], image_join[fx]
+                if f[m] != y or (m | y) < 0:
+                    forced.append((m, y))
+            done |= 1 << a
+        return list(dict.fromkeys(forced))
+
+    return closure
 
 
 def is_isomorphic(A: PartialBooleanAlgebra, B: PartialBooleanAlgebra) -> bool:

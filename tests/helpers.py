@@ -930,8 +930,10 @@ def boolean_axiom_oracle(A: PartialBooleanAlgebra, elems: list[int]) -> list[Vio
     if out:
         return out  # closure failed; deeper axioms would read bad cells
 
-    meet = A.meet
-    join = A.join
+    # the rows as tuples, each read once: the cubic loops below index them
+    # at tuple speed, not through a large carrier's Rows
+    meet = tuple(A.meet)
+    join = tuple(A.join)
     # the closure pass reads each row from a on; the loops below index every
     # cell, so an UNDEF before the diagonal stops them here
     for i, a in enumerate(elems):

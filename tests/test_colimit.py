@@ -20,9 +20,8 @@ from helpers import (
     walk_mediating_morphism,
 )
 from pbalg import colimit
-from pbalg._rowbands import arrays
+from pbalg._rowbands import Rows
 from pbalg.core import (
-    _ARRAYS,
     _SMALL_MAX,
     UNDEF,
     PbaMorphism,
@@ -808,7 +807,7 @@ def test_tensor_cells_share_one_int_per_element():
     # elements, most of them past the interpreter's small-int cache
     T = tensor_product(boolean_algebra(3), boolean_algebra(3)).algebra
     assert T.n == 512
-    assert len({id(v) for row in T.meet + T.join for v in row}) <= T.n + 1
+    assert len({id(v) for table in (T.meet, T.join) for row in table for v in row}) <= T.n + 1
 
 
 def test_tensor_carrier_passes_the_checked_constructor():
@@ -816,8 +815,9 @@ def test_tensor_carrier_passes_the_checked_constructor():
     # image_factorization build their carriers with _block_algebra without
     # the constructor's range checks; the checked constructor accepts each
     # such carrier, on both sides of the size switch, and gives it back
-    # equal.  Above the switch the arrays the writer kept equal those the
-    # rebuilt carrier converts from its tables
+    # equal.  Above the switch its tables are the writer's arrays, which
+    # the rebuilt carrier keeps, and converted from tuple rows they are
+    # equal and hash equal
     pairs = list(itertools.product(small_corpus(), repeat=2))
     carriers = [tensor_product(A, B).algebra for A, B in pairs]
     carriers.append(tensor_product(boolean_algebra(2), boolean_algebra(5)).algebra)
@@ -835,8 +835,10 @@ def test_tensor_carrier_passes_the_checked_constructor():
         D = dataclasses.replace(C)
         assert D == C
         if C.n > _SMALL_MAX:
-            assert _ARRAYS in C.__dict__ and _ARRAYS not in D.__dict__
-            assert all((x == y).all() for x, y in zip(arrays(C), arrays(D)))
+            assert isinstance(C.meet, Rows) and (D.meet, D.join) == (C.meet, C.join)
+            E = dataclasses.replace(C, meet=tuple(C.meet), join=tuple(C.join))
+            assert isinstance(E.meet, Rows) and E.meet.array is not C.meet.array
+            assert E == C and hash(E) == hash(C)
 
 
 def _tables_or_error(build, n, objects):
@@ -856,8 +858,8 @@ def test_block_tables_match_cell_walk():
     # elements, as image_factorization passes them.  The writer gives the
     # walk's tables, with comm defined exactly where they are, or raises
     # where the walk raises: below the switch naming the same table, above
-    # it possibly another of several conflicting ones.  Above the switch it
-    # also hands back its arrays, equal to the tables
+    # it possibly another of several conflicting ones.  Above the switch its
+    # tables are Rows over the scattered arrays, equal to the walk's
     rng = random.Random(23)
     seen = set()
     for _ in range(1200):
@@ -897,16 +899,15 @@ def test_block_tables_match_cell_walk():
             if not large:
                 assert str(got).split()[0] == str(want).split()[0], objects
         else:
-            neg_t, comm, meet, join, arrays = got
-            assert (neg_t, meet, join) == want, objects
+            neg_t, comm, meet, join = got
+            assert (neg_t, tuple(meet), tuple(join)) == want, objects
             assert comm == tuple(sum(1 << b for b, v in enumerate(row) if v != UNDEF)
                                  for row in want[1]), objects
             if large:
-                assert [a.tolist() for a in arrays] == [
-                    [[v != UNDEF for v in row] for row in meet],
-                    list(map(list, meet)), list(map(list, join))], objects
+                assert [t.array.tolist() for t in (meet, join)] == [
+                    list(map(list, table)) for table in want[1:]], objects
             else:
-                assert arrays is None
+                assert type(meet) is type(join) is tuple
         seen.add((large, str(want).split()[0] if isinstance(want, AmalgamError) else "tables"))
     # the sample reaches every outcome of the walk on both sides of the switch
     assert seen == {(large, outcome) for large in (False, True)

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import gc
 import hashlib
 import inspect
 import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -31,8 +33,8 @@ from helpers import (
     walk_check_morphism,
     walk_validate,
 )
-from pbalg import core
-from pbalg._rowbands import morphism_rows, signatures
+from pbalg import core, poset
+from pbalg._rowbands import Rows, morphism_rows, signatures
 from pbalg.colimit import tensor_product
 from pbalg.core import (
     UNDEF,
@@ -73,6 +75,7 @@ from pbalg.core import (
 )
 from pbalg.bohr import reflects_commeasurability
 from pbalg.corpus import cabello18_algebra, generated_corpus, mo3_algebra, small_corpus
+from pbalg.formats import parse_algebra_text, serialize_algebra
 from pbalg.poset import _poset_isomorphic
 from pbalg.errors import (
     DomainError,
@@ -310,13 +313,14 @@ def test_validate_matches_cell_walk_on_one_cell_corruptions():
 
 
 def test_validate_reads_a_replaced_carriers_own_tables():
-    # the arrays a large carrier keeps are no dataclass field: a carrier
-    # replaced with one corrupted table or comm bit converts its own, and
-    # validate rejects it with the walk's report
+    # a large carrier's tables are its arrays: a carrier replaced with one
+    # corrupted table converts that table's rows to arrays of its own, one
+    # replaced with a corrupted comm bit reads its own comm, and validate
+    # rejects each with the walk's report
     T = tensor_product(boolean_algebra(2), boolean_algebra(3)).algebra
     try:
         assert T.n > core._SMALL_MAX and validate(T).ok
-        assert core._ARRAYS in T.__dict__
+        assert isinstance(T.meet, Rows) and isinstance(T.join, Rows)
         changes = []
         for name in ("meet", "join"):
             rows = [list(r) for r in getattr(T, name)]
@@ -325,11 +329,73 @@ def test_validate_reads_a_replaced_carriers_own_tables():
         changes.append({"comm": T.comm[:5] + (T.comm[5] & ~(1 << 9),) + T.comm[6:]})
         for change in changes:
             X = dataclasses.replace(T, **change)
-            assert core._ARRAYS not in X.__dict__
+            assert X != T
+            for name in ("meet", "join"):
+                table = getattr(X, name)
+                assert isinstance(table, Rows)
+                assert (table.array is getattr(T, name).array) == (name not in change)
             report = validate(X)
             assert not report.ok and report == walk_validate(X), change.keys()
     finally:
         core.maximal_cliques.cache_clear()
+
+
+
+def test_row_tables_compare_and_hash_by_their_arrays():
+    # above _SMALL_MAX every constructor gives meet and join as Rows: the
+    # block writer's own arrays, and tuple or list rows from the parser or
+    # dataclasses.replace converted once, so the carriers are equal and
+    # hash equal; the arrays are read-only, and a replaced table never
+    # shares the array it replaced
+    T = tensor_product(boolean_algebra(2), boolean_algebra(3)).algebra
+    parsed = parse_algebra_text(serialize_algebra(T))
+    replaced = dataclasses.replace(T, meet=tuple(T.meet), join=[list(r) for r in T.join])
+    for X in (parsed, replaced):
+        assert isinstance(X.meet, Rows) and isinstance(X.join, Rows)
+        assert X == T and hash(X) == hash(T)
+        assert X.meet.array is not T.meet.array and X.join.array is not T.join.array
+        assert X.meet.ints is X.join.ints
+    with pytest.raises(ValueError):
+        T.meet.array[5, 9] = T.n - 1
+    rows = [list(r) for r in T.meet]
+    old = rows[5][9]
+    rows[5][9] = rows[9][5] = (old + 1) % T.n
+    X = dataclasses.replace(T, meet=tuple(map(tuple, rows)))
+    assert X != T and X.join is T.join
+    assert (X.meet[5][9], X.meet.array[9, 5], T.meet[5][9]) == ((old + 1) % T.n,) * 2 + (old,)
+
+
+def test_large_carriers_hold_their_arrays_and_build_rows_on_read():
+    # T(bool2, bool5) holds its two int32 tables and the rows read so far:
+    # at most 12 MB, against 26.6 MB with tuple rows beside kept arrays.
+    # The block decoder's atom scan reads the array, so decoding
+    # boolean_algebra(10)'s block builds the atoms' meet rows only, and
+    # find_isomorphism onto it, carriers warm, peaks at most 1.5 MB: the
+    # wave closure gathers its pairs an eighth of a band at a time
+    X, Y = boolean_algebra(2), boolean_algebra(5)
+    tracemalloc.start()
+    try:
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        T = tensor_product(X, Y).algebra
+        core.maximal_cliques.cache_clear()
+        poset.boolean_subalgebras.cache_clear()
+        gc.collect()
+        assert tracemalloc.get_traced_memory()[0] - base <= 12e6
+        B = boolean_algebra(10)
+        assert find_isomorphism(T, B) is not None
+        gc.collect()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        find_isomorphism(T, B)
+        assert tracemalloc.get_traced_memory()[1] - base <= 1.5e6
+    finally:
+        tracemalloc.stop()
+        core.maximal_cliques.cache_clear()
+    B = boolean_algebra(10)
+    atoms, _, _ = _decode_block(B, list(range(B.n)))
+    assert atoms == [1 << i for i in range(10)]
+    assert [a for a, row in enumerate(B.meet._rows) if row is not None] == atoms
 
 
 def test_block_decoder_matches_cell_walk_on_one_cell_corruptions():
@@ -565,7 +631,7 @@ def test_boolean_algebra_matches_comprehension_build():
     for k in range(11):
         A = boolean_algebra(k)
         assert A == comprehension_boolean_algebra(k), k
-        assert len({id(v) for row in A.meet + A.join for v in row}) <= A.n, k
+        assert len({id(v) for table in (A.meet, A.join) for row in table for v in row}) <= A.n, k
 
 
 def test_boolean_lattice_is_totally_commeasurable():
@@ -1239,6 +1305,44 @@ def test_find_isomorphism_matches_eager_reference(monkeypatch):
         monkeypatch.setattr(core, "_ISO_MAX_NODES", 5_000_000)
         found += results[0] is not None
     assert 0 < found < len(pairs)
+
+
+
+def test_wave_closure_matches_eager_reference(monkeypatch):
+    # above _SMALL_MAX the closure reads each propagation wave's pairs off
+    # the arrays; propagation reaches the same fixpoint in any order, so the
+    # maps and node counts are those of the eager reference, whose closure
+    # runs once per assignment: on square laws, on relabellings of
+    # Cabello-18, and on relabelled 64-element tensors with one join cell
+    # corrupted, which only the closure refutes
+    rng = random.Random(20261022)
+    pairs = [(tensor_product(boolean_algebra(a), boolean_algebra(b)).algebra,
+              boolean_algebra(a * b)) for a, b in ((1, 6), (2, 3), (2, 4), (3, 3))]
+    C = cabello18_algebra()
+    pairs += [(C, relabel(C, rng.sample(range(C.n), C.n))) for _ in range(3)]
+    found = len(pairs)
+    for a, b in ((1, 6), (2, 3)):
+        T = tensor_product(boolean_algebra(a), boolean_algebra(b)).algebra
+        R = relabel(T, rng.sample(range(T.n), T.n))
+        p, q = rng.choice([(p, q) for p, q in itertools.combinations(range(R.n), 2)
+                           if R.comm_pair(p, q)])
+        value = rng.choice([v for v in range(R.n) if v != R.join[p][q]])
+        pairs.append((T, _corrupt(R, [("join", p, q, value), ("join", q, p, value)])))
+    assert min(A.n for A, _ in pairs) > core._SMALL_MAX
+    for i, (A, B) in enumerate(pairs):
+        result = find_isomorphism(A, B)
+        assert result == eager_find_isomorphism(A, B), i
+        assert (result is not None) == (i < found), i
+        nodes = _exact_nodes(monkeypatch, lambda: find_isomorphism(A, B))
+        # the reference runs through that budget and no smaller one, so its
+        # node count is the same
+        monkeypatch.setattr(core, "_ISO_MAX_NODES", nodes)
+        eager_find_isomorphism(A, B)
+        if nodes:
+            monkeypatch.setattr(core, "_ISO_MAX_NODES", nodes - 1)
+            with pytest.raises(SearchCutoffError):
+                eager_find_isomorphism(A, B)
+        monkeypatch.setattr(core, "_ISO_MAX_NODES", 5_000_000)
 
 
 # Node count and sha256 of repr(map), cut to 16 hex digits, of
